@@ -35,12 +35,14 @@ smoke-server:
 chaos-smoke:
 	$(GO) test -race -tags faultinject -run TestDregexdChaos -v ./cmd/dregexd
 
-# fuzz-smoke runs the schema front-end fuzz targets briefly (seed corpus
-# plus a short random exploration); CI invokes this on every push.
+# fuzz-smoke runs the schema front-end fuzz targets and the document-level
+# DTD-vs-XSD differential briefly (seed corpus plus a short random
+# exploration); CI invokes this on every push.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzScanDecls -fuzztime $(FUZZTIME) ./internal/dtd
 	$(GO) test -run xxx -fuzz FuzzXSDContentModel -fuzztime $(FUZZTIME) ./internal/xsd
+	$(GO) test -run xxx -fuzz FuzzDTDXSDDocuments -fuzztime $(FUZZTIME) ./internal/validate
 	$(GO) test -run xxx -fuzz FuzzXMLTok -fuzztime $(FUZZTIME) ./internal/xmltok
 	$(GO) test -run xxx -fuzz FuzzLexer -fuzztime $(FUZZTIME) .
 

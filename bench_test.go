@@ -1,7 +1,7 @@
 // Benchmarks regenerating the paper's complexity claims — one benchmark
-// family per experiment of DESIGN.md §3 (the paper has no numeric tables;
-// these are its measurable claims). EXPERIMENTS.md records representative
-// output and compares the measured shape against each theorem.
+// family per experiment E1–E9 (the paper has no numeric tables; these are
+// its measurable claims). cmd/benchtab prints the same experiments as
+// tables; see the README section "XML/DTD tooling".
 package dregex_test
 
 import (

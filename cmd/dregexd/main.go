@@ -21,7 +21,6 @@
 //	GET    /v1/stats          cache hit/negative stats, per-endpoint counters
 //	GET    /metrics           Prometheus text exposition (latency histograms,
 //	                          verdict counters, cache gauges, engine tiers)
-//	GET    /debug/vars        expvar (includes the same stats snapshot)
 //
 // With -log text or -log json, every request emits one structured
 // access-log line (request id, method, path, status, bytes, duration,
@@ -111,7 +110,6 @@ func run(args []string, stdout, stderr *os.File) int {
 			ValidateTimeout: *validateTO,
 		},
 	})
-	srv.Publish()
 	hs := srv.NewHTTPServer(*addr)
 
 	ln, err := net.Listen("tcp", *addr)

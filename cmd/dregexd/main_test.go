@@ -186,6 +186,30 @@ func TestDregexdDrainObservability(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Wait until connection A holds its validate in-flight slot before the
+	// burst validates below compete for the bucket: /metrics bypasses the
+	// rate buckets, and admit takes A's rate token right after the slot.
+	// This narrows the race to the gap between those two steps in admit;
+	// it cannot close it.
+	for {
+		resp, err := http.Get("http://" + addr + "/metrics")
+		if err != nil {
+			t.Fatalf("polling /metrics: %v", err)
+		}
+		exp, err := obs.ParseExposition(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("polling /metrics: %v", err)
+		}
+		if n, _ := exp.Get("dregexd_inflight", obs.L("class", "validate")); n == 1 {
+			break
+		}
+		if ctx.Err() != nil {
+			t.Fatal("connection A never took its validate in-flight slot")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
 	// Drain the bucket: one validate passes on the second burst token, the
 	// next is shed — the limiter is now actively shedding.
 	if ok, err := c.Validate(ctx, "note", []byte(doc)); err != nil || !ok.Valid {

@@ -36,7 +36,7 @@ func main() {
 }
 
 // run is main minus process concerns, so CLI behavior is testable; reports
-// still go to stdout (via cli.PrintReports), diagnostics to stderr.
+// still go to stdout (via cli.Report), diagnostics to stderr.
 func run(args []string, stderr io.Writer) int {
 	fs := flag.NewFlagSet("xmlvalid", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -86,35 +86,5 @@ func run(args []string, stderr io.Writer) int {
 
 	start := time.Now()
 	results := v.ValidateFiles(paths)
-	elapsed := time.Since(start)
-	reports := make([]cli.DocReport[dtd.ValidationError], len(results))
-	for i, r := range results {
-		reports[i] = cli.DocReport[dtd.ValidationError]{
-			Path: r.Name, Valid: r.Valid(), Errors: r.Errors,
-		}
-		if r.Err != nil {
-			reports[i].Error = r.Err.Error()
-		}
-	}
-	invalid, err := cli.PrintReports(reports, *jsonOut, *quiet)
-	if err != nil {
-		fmt.Fprintln(stderr, "error:", err)
-		return 1
-	}
-	if *stats {
-		rs := cli.RunStats{
-			Count:   len(paths),
-			Invalid: invalid,
-			Bytes:   cli.SumFileSizes(paths),
-			Elapsed: elapsed,
-		}
-		if err := rs.Write(stderr); err != nil {
-			fmt.Fprintln(stderr, "error:", err)
-			return 1
-		}
-	}
-	if invalid > 0 {
-		return 1
-	}
-	return 0
+	return cli.Report(results, time.Since(start), *jsonOut, *quiet, *stats, stderr)
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // runQuiet runs the CLI with stdout captured (reports go to real stdout
-// via cli.PrintReports).
+// via cli.Report).
 func runQuiet(t *testing.T, args ...string) (int, string) {
 	t.Helper()
 	r, w, err := os.Pipe()

@@ -115,7 +115,9 @@ var ErrUnrollTooLarge = errors.New("ast: unrolled expression exceeds position bu
 //	x{i,∞} = x·x·…·x (i copies) · (x)*
 //
 // This is the language-preserving expansion used as the determinism *spec*
-// for numeric occurrence indicators (see DESIGN.md §4.4). maxPositions
+// for numeric occurrence indicators: package numeric's tests check its
+// linear counted checker against the plain checker run on this unrolling
+// (see the package numeric documentation). maxPositions
 // bounds the size of the result; ErrUnrollTooLarge is returned when the
 // expansion would exceed it.
 func Unroll(e *Node, maxPositions int) (*Node, error) {

@@ -3,24 +3,62 @@ package cli
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
+	"time"
+
+	"dregex/internal/validate"
 )
 
-// DocReport is the per-document outcome the corpus validators print; the
-// error element type is the front end's own ValidationError.
-type DocReport[E error] struct {
-	Path   string `json:"path"`
-	Valid  bool   `json:"valid"`
-	Errors []E    `json:"errors,omitempty"`
-	Error  string `json:"error,omitempty"`
+// DocReport is the per-document outcome the corpus validators print.
+type DocReport struct {
+	Path   string           `json:"path"`
+	Valid  bool             `json:"valid"`
+	Errors []validate.Error `json:"errors,omitempty"`
+	Error  string           `json:"error,omitempty"`
 }
 
-// PrintReports renders validation reports to stdout — an indented JSON
+// Report prints the results of a corpus validation run to stdout (see
+// printReports) and, with stats, the end-of-run summary to stderr. It
+// returns the process exit status: 0 when every document is valid, 1
+// otherwise. This is the one report surface shared by xmlvalid and
+// xsdvalid, so output format and exit semantics cannot drift apart.
+func Report(results []validate.Result, elapsed time.Duration, jsonOut, quiet, stats bool, stderr io.Writer) int {
+	reports := make([]DocReport, len(results))
+	for i, r := range results {
+		reports[i] = DocReport{Path: r.Name, Valid: r.Valid(), Errors: r.Errors}
+		if r.Err != nil {
+			reports[i].Error = r.Err.Error()
+		}
+	}
+	invalid, err := printReports(reports, jsonOut, quiet)
+	if err != nil {
+		fmt.Fprintln(stderr, "error:", err)
+		return 1
+	}
+	if stats {
+		rs := RunStats{Count: len(reports), Invalid: invalid, Elapsed: elapsed}
+		for _, r := range reports {
+			if fi, err := os.Stat(r.Path); err == nil {
+				rs.Bytes += fi.Size()
+			}
+		}
+		if err := rs.Write(stderr); err != nil {
+			fmt.Fprintln(stderr, "error:", err)
+			return 1
+		}
+	}
+	if invalid > 0 {
+		return 1
+	}
+	return 0
+}
+
+// printReports renders validation reports to stdout — an indented JSON
 // array, or the text form (quiet suppresses per-document "valid" lines;
 // the summary always prints) — and returns the number of invalid
-// documents. This is the one report surface shared by xmlvalid and
-// xsdvalid, so output format and exit semantics cannot drift apart.
-func PrintReports[E error](reports []DocReport[E], jsonOut, quiet bool) (invalid int, err error) {
+// documents.
+func printReports(reports []DocReport, jsonOut, quiet bool) (invalid int, err error) {
 	for _, r := range reports {
 		if !r.Valid {
 			invalid++

@@ -7,7 +7,6 @@ package cli
 
 import (
 	"io"
-	"os"
 	"time"
 
 	"dregex"
@@ -63,16 +62,4 @@ func (rs RunStats) Write(w io.Writer) error {
 			obs.L("tier", tier))
 	}
 	return r.WriteSummary(w)
-}
-
-// SumFileSizes totals the on-disk sizes of paths (unreadable files count
-// 0), for the byte-throughput line of a corpus run.
-func SumFileSizes(paths []string) int64 {
-	var n int64
-	for _, p := range paths {
-		if fi, err := os.Stat(p); err == nil {
-			n += fi.Size()
-		}
-	}
-	return n
 }

@@ -41,11 +41,9 @@ import (
 	"io"
 	"sort"
 	"strings"
-	"time"
 
 	"dregex"
-	"dregex/internal/match"
-	"dregex/internal/run"
+	"dregex/internal/validate"
 	"dregex/internal/xmltok"
 )
 
@@ -97,12 +95,14 @@ type Element struct {
 	// violated condition for nondeterministic models.
 	Deterministic bool
 	Rule          string
-	matcher       *dregex.Matcher
 
 	// Mixed models:
 	allowed map[string]bool
 	// DupName is the repeated name making a mixed model nondeterministic.
 	DupName string
+
+	// content is the declaration as the validation pass steps it.
+	content validate.Content
 }
 
 // DTD is a set of compiled element declarations.
@@ -296,14 +296,17 @@ func (d *DTD) docEntities(directive string) map[string]string {
 
 func compileElement(name, model string, cache *dregex.Cache) (*Element, error) {
 	el := &Element{Name: name, Model: model}
+	el.content.Model = model
 	switch {
 	case model == "EMPTY":
 		el.Kind = Empty
 		el.Deterministic = true
+		el.content.Kind = validate.Empty
 		return el, nil
 	case model == "ANY":
 		el.Kind = Any
 		el.Deterministic = true
+		el.content.Kind, el.content.Text = validate.Any, true
 		return el, nil
 	case strings.Contains(model, "#PCDATA"):
 		return compileMixed(el, model)
@@ -332,6 +335,7 @@ func compileMixed(el *Element, model string) (*Element, error) {
 	}
 	el.allowed = map[string]bool{}
 	el.Deterministic = true
+	el.content.Kind, el.content.Text, el.content.Allowed = validate.Mixed, true, el.allowed
 	for _, p := range parts[1:] {
 		n := strings.TrimSpace(p)
 		if n == "" {
@@ -350,6 +354,7 @@ func compileMixed(el *Element, model string) (*Element, error) {
 
 func compileChildren(el *Element, model string, cache *dregex.Cache) (*Element, error) {
 	el.Kind = Children
+	el.content.Kind = validate.Children
 	cm, err := cache.Get(model, dregex.DTD)
 	if err != nil {
 		if errors.Is(err, dregex.ErrNumericIndicator) {
@@ -375,7 +380,7 @@ func compileChildren(el *Element, model string, cache *dregex.Cache) (*Element, 
 				return nil, fmt.Errorf("dtd: element %s: %w", el.Name, err)
 			}
 		}
-		el.matcher = m
+		el.content.Matcher = m
 	}
 	return el, nil
 }
@@ -435,448 +440,6 @@ func (el *Element) Stats() dregex.Stats {
 		return dregex.Stats{}
 	}
 	return el.CM.Stats()
-}
-
-// ValidationError describes one violation found while validating a
-// document.
-type ValidationError struct {
-	Path    string `json:"path"` // slash-separated element path
-	Element string `json:"element"`
-	Msg     string `json:"msg"`
-	// Line and Col locate the violation in the document (1-based; columns
-	// count runes). Zero when no position is available.
-	Line int `json:"line,omitempty"`
-	Col  int `json:"col,omitempty"`
-	// Expected lists the element names that would have been legal at the
-	// failure point (content-model violations only): the run.Runner
-	// ExpectedNext set of the element's streaming matcher.
-	Expected []string `json:"expected,omitempty"`
-}
-
-func (e ValidationError) Error() string {
-	msg := e.Msg
-	if len(e.Expected) > 0 {
-		msg = fmt.Sprintf("%s (expected one of: %s)", msg, strings.Join(e.Expected, ", "))
-	}
-	if e.Line > 0 {
-		return fmt.Sprintf("%d:%d: %s: <%s>: %s", e.Line, e.Col, e.Path, e.Element, msg)
-	}
-	return fmt.Sprintf("%s: <%s>: %s", e.Path, e.Element, msg)
-}
-
-// frame is the per-open-element state of a validation pass. The name
-// aliases the document buffer — no per-element string is materialized.
-type frame struct {
-	el     *Element
-	name   []byte
-	stream match.Stream // value: per-frame, no allocation
-	failed bool
-}
-
-// pendingRef is one IDREF occurrence awaiting document-end resolution
-// (IDs may be declared after the references pointing at them). The value
-// lives in docState.refArena — attribute values can sit in tokenizer
-// scratch that the next token invalidates — and elem aliases the document
-// buffer.
-type pendingRef struct {
-	lo, hi int // value span in refArena
-	off    int // byte offset of the referencing attribute
-	elem   []byte
-}
-
-// maxKeepBuf caps the document buffer a reused docState retains between
-// documents, so one huge outlier does not pin its memory forever.
-const maxKeepBuf = 1 << 20
-
-// docState is the reusable scratch of one validation pass. A zero value is
-// ready; reusing one across documents (one per Validator worker) keeps the
-// element stack, the tokenizer's internal buffers and the read buffer, so
-// steady-state validation performs no per-document allocation.
-type docState struct {
-	stack []frame
-	tok   xmltok.Tokenizer
-	// buf holds the whole document when validating from an io.Reader.
-	buf []byte
-	// ids collects the document's ID attribute values; refs/refArena the
-	// IDREF occurrences to resolve once the document has been read.
-	ids      map[string]struct{}
-	refs     []pendingRef
-	refArena []byte
-	// symbols and docBytes meter the last validation for observability:
-	// content-model symbols fed to streaming engines, and tokenized
-	// document bytes. Plain ints — bumping them costs nothing on the
-	// 0-alloc hot path; callers aggregate them into shared counters.
-	symbols  int
-	docBytes int
-	// cp is the cooperative cancellation point probed once per token; it
-	// stays disarmed (one branch per token) unless SetDeadline armed it.
-	cp run.Checkpoint
-}
-
-func (st *docState) addRef(val []byte, off int, elem []byte) {
-	lo := len(st.refArena)
-	st.refArena = append(st.refArena, val...)
-	st.refs = append(st.refs, pendingRef{lo, len(st.refArena), off, elem})
-}
-
-func (st *docState) addRefString(val string, off int, elem []byte) {
-	lo := len(st.refArena)
-	st.refArena = append(st.refArena, val...)
-	st.refs = append(st.refs, pendingRef{lo, len(st.refArena), off, elem})
-}
-
-// Validate checks an XML document against the DTD: every element must be
-// declared, its children sequence must match its content model (evaluated
-// with a streaming simulator — one pass, no buffering of child lists),
-// text content must be allowed, and attributes must conform to the
-// element's <!ATTLIST> declarations (types, required/fixed constraints,
-// document-wide ID uniqueness and IDREF resolution). When the document
-// carries a <!DOCTYPE> declaration, the root element must match its name.
-// It returns all violations found, or nil.
-func (d *DTD) Validate(r io.Reader) ([]ValidationError, error) {
-	var st docState
-	return d.validate(r, &st)
-}
-
-// ValidateBytes is Validate on an in-memory document, skipping the read.
-func (d *DTD) ValidateBytes(doc []byte) ([]ValidationError, error) {
-	var st docState
-	return d.validateBytes(doc, &st)
-}
-
-// DocState is the reusable per-worker scratch of a validation pass, for
-// long-running callers outside the package (the dregexd server pools these
-// per schema). A zero value is ready; see docState for the reuse contract.
-type DocState struct{ st docState }
-
-// ValidateReusing is Validate with caller-managed scratch: reusing one
-// DocState across documents keeps every internal buffer — element stack,
-// tokenizer scratch, read buffer — so steady-state validation performs no
-// per-document allocation. A DocState must not be used concurrently.
-func (d *DTD) ValidateReusing(r io.Reader, st *DocState) ([]ValidationError, error) {
-	return d.validate(r, &st.st)
-}
-
-// ValidateBytesReusing is ValidateBytes with caller-managed scratch.
-func (d *DTD) ValidateBytesReusing(doc []byte, st *DocState) ([]ValidationError, error) {
-	return d.validateBytes(doc, &st.st)
-}
-
-// Symbols reports how many content-model symbols (child elements fed to
-// the streaming engines) the last validation through this DocState
-// consumed — the |w| of the paper's O(|e| + |w|·f) bound, for live
-// ns-per-symbol estimates.
-func (st *DocState) Symbols() int { return st.st.symbols }
-
-// DocBytes reports the size of the last document validated through this
-// DocState (the bytes the tokenizer scanned).
-func (st *DocState) DocBytes() int { return st.st.docBytes }
-
-// SetDeadline arms cooperative cancellation for subsequent validations
-// through this DocState: the token loop aborts with an error satisfying
-// errors.Is(err, run.ErrCanceled) once done closes, or
-// run.ErrDeadlineExceeded once the absolute deadline passes. Both zero
-// arguments disarm, which is also the zero DocState's behavior — the
-// disarmed per-token cost is a single branch, so the 0-alloc validation
-// path is undisturbed. The arming persists across documents until the
-// next SetDeadline, so per-request callers must re-arm (or disarm) each
-// time they check a state out of a pool.
-func (st *DocState) SetDeadline(done <-chan struct{}, deadline time.Time) {
-	st.st.cp.Arm(done, deadline)
-}
-
-func (d *DTD) validate(r io.Reader, st *docState) ([]ValidationError, error) {
-	data, err := xmltok.ReadAll(r, st.buf)
-	st.buf = data
-	if err != nil {
-		return nil, fmt.Errorf("dtd: read: %w", err)
-	}
-	errs, verr := d.validateBytes(data, st)
-	if cap(st.buf) > maxKeepBuf {
-		st.buf = nil
-	}
-	return errs, verr
-}
-
-func (d *DTD) validateBytes(data []byte, st *docState) ([]ValidationError, error) {
-	tok := &st.tok
-	tok.Reset(data)
-	// Internal general entities declared by the DTD resolve during
-	// tokenization; predefined entities (&lt; &amp; …) work regardless. A
-	// nil or empty map simply adds nothing.
-	tok.SetEntities(d.Entities)
-	var errs []ValidationError
-	stack := st.stack[:0]
-	defer func() {
-		// Zero the whole backing array, not just the live prefix: popped
-		// frames past len would otherwise pin the previous document's DTD
-		// (and its engines) for the worker's lifetime in standalone mode.
-		stack = stack[:cap(stack)]
-		clear(stack)
-		//dregex:ok spanretain frames hold Name() spans, which index the stable document buffer (never scratch) and are cleared here before the next document
-		st.stack = stack[:0]
-	}()
-	clear(st.ids)
-	st.refs = st.refs[:0]
-	st.refArena = st.refArena[:0]
-	st.symbols = 0
-	st.docBytes = len(data)
-	doctype := ""
-	sawRoot := false
-	// path renders the open-element stack; callers composing the current
-	// element's own path append "/"+name themselves, so the empty stack
-	// (root not yet pushed, or just popped) renders as "" — not "/", which
-	// would double the slash in "//root".
-	path := func() string {
-		if len(stack) == 0 {
-			return ""
-		}
-		parts := make([]string, 0, len(stack))
-		for _, f := range stack {
-			parts = append(parts, string(f.name))
-		}
-		return "/" + strings.Join(parts, "/")
-	}
-	// verr stamps a violation with the document position of offset off.
-	verr := func(path, elem string, off int, msg string) ValidationError {
-		line, col := tok.Position(off)
-		return ValidationError{Path: path, Element: elem, Msg: msg, Line: line, Col: col}
-	}
-	for {
-		if err := st.cp.Check(); err != nil {
-			return errs, fmt.Errorf("dtd: validation aborted: %w", err)
-		}
-		kind, err := tok.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return errs, fmt.Errorf("dtd: malformed XML: %w", err)
-		}
-		switch kind {
-		case xmltok.Directive:
-			if !sawRoot {
-				directive := string(tok.Text())
-				if name, ok := doctypeName(directive); ok {
-					doctype = name
-					// A document may declare its own entities in the
-					// internal subset (common when validating against an
-					// external DTD); see docEntities for the precedence
-					// and skip rules.
-					if merged := d.docEntities(directive); merged != nil {
-						tok.SetEntities(merged)
-					}
-				}
-			}
-		case xmltok.StartElement:
-			name := tok.Local()
-			off := tok.Offset()
-			if !sawRoot {
-				sawRoot = true
-				if doctype != "" && string(name) != doctype {
-					errs = append(errs, verr("/"+string(name), string(name), off,
-						fmt.Sprintf("root element <%s> does not match DOCTYPE %s", name, doctype)))
-				}
-			}
-			// Record the child in the parent's model.
-			if len(stack) > 0 {
-				p := &stack[len(stack)-1]
-				switch {
-				case p.el == nil || p.failed:
-					// parent already failed; keep descending silently
-				case p.el.Kind == Any:
-				case p.el.Kind == Mixed:
-					if !p.el.allowed[string(name)] {
-						errs = append(errs, verr(path(), string(p.name), off,
-							fmt.Sprintf("child <%s> not allowed in mixed model %s", name, p.el.Model)))
-						p.failed = true
-					}
-				case p.el.Kind == Empty:
-					errs = append(errs, verr(path(), string(p.name), off,
-						fmt.Sprintf("EMPTY element has child <%s>", name)))
-					p.failed = true
-				default:
-					st.symbols++
-					if !p.stream.FeedBytes(name) {
-						ve := verr(path(), string(p.name), off,
-							fmt.Sprintf("child <%s> violates content model %s", name, p.el.Model))
-						ve.Expected = run.ExpectedNames(&p.stream, nil)
-						errs = append(errs, ve)
-						p.failed = true
-					}
-				}
-			}
-			el := d.Elements[string(name)]
-			f := frame{el: el, name: name}
-			if el == nil {
-				errs = append(errs, verr(path()+"/"+string(name), string(name), off,
-					"element not declared"))
-			} else if el.Kind == Children {
-				if !el.Deterministic {
-					errs = append(errs, verr(path()+"/"+string(name), string(name), off,
-						"content model is nondeterministic; cannot validate"))
-					f.failed = true
-				} else {
-					el.matcher.InitStream(&f.stream)
-				}
-			}
-			errs = d.checkAttrs(st, el, name, off, errs, verr, path)
-			stack = append(stack, f)
-		case xmltok.EndElement:
-			// Pointer into the backing array, not a copy: ExpectedNames
-			// takes the stream's address, and a copied frame would escape
-			// to the heap on every single EndElement. The popped slot stays
-			// intact until the next push.
-			f := &stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if f.el != nil && f.el.Kind == Children && !f.failed {
-				if !f.stream.Accepts() {
-					ve := verr(path()+"/"+string(f.name), string(f.name), tok.Offset(),
-						fmt.Sprintf("children end prematurely for content model %s", f.el.Model))
-					ve.Expected = run.ExpectedNames(&f.stream, nil)
-					errs = append(errs, ve)
-				}
-			}
-		case xmltok.Text:
-			if len(stack) == 0 {
-				continue
-			}
-			p := &stack[len(stack)-1]
-			if p.el == nil || p.failed {
-				continue
-			}
-			if len(attTrim(tok.Text())) == 0 {
-				continue
-			}
-			if p.el.Kind == Children || p.el.Kind == Empty {
-				errs = append(errs, verr(path(), string(p.name), tok.Offset(),
-					"text content not allowed"))
-				p.failed = true
-			}
-		}
-	}
-	// IDs can be declared after the IDREFs pointing at them, so resolution
-	// waits until the whole document has been read.
-	for _, ref := range st.refs {
-		if _, ok := st.ids[string(st.refArena[ref.lo:ref.hi])]; !ok {
-			errs = append(errs, verr("/"+string(ref.elem), string(ref.elem), ref.off,
-				fmt.Sprintf("IDREF %q matches no ID in the document", st.refArena[ref.lo:ref.hi])))
-		}
-	}
-	return errs, nil
-}
-
-// isXmlnsAttr reports whether name declares a namespace (xmlns or
-// xmlns:prefix) — namespace declarations are not subject to ATTLIST
-// validation.
-func isXmlnsAttr(name []byte) bool {
-	return len(name) >= 5 && string(name[:5]) == "xmlns" &&
-		(len(name) == 5 || name[5] == ':')
-}
-
-// checkAttrs validates the current start tag's attributes against the
-// element's attribute list: every attribute must be declared and satisfy
-// its type and #FIXED constraints, required attributes must be present,
-// ID values must be unique document-wide, and IDREF/IDREFS values
-// (including defaulted ones) are queued for document-end resolution.
-func (d *DTD) checkAttrs(st *docState, el *Element, name []byte, off int,
-	errs []ValidationError, verr func(string, string, int, string) ValidationError,
-	path func() string) []ValidationError {
-	al := d.Attlists[string(name)]
-	if el == nil && al == nil {
-		return errs // element undeclared: already reported, nothing to check against
-	}
-	tok := &st.tok
-	// The element path is only materialized if a violation is reported —
-	// the error-free hot path must not build strings per element.
-	cached := ""
-	epath := func() string {
-		if cached == "" {
-			cached = path() + "/" + string(name)
-		}
-		return cached
-	}
-	nattr := tok.AttrCount()
-	for i := 0; i < nattr; i++ {
-		aname := tok.AttrName(i)
-		if isXmlnsAttr(aname) {
-			continue
-		}
-		var def *AttDef
-		if al != nil {
-			def = al.defBytes(aname)
-		}
-		if def == nil {
-			errs = append(errs, verr(epath(), string(name), tok.AttrNameOffset(i),
-				fmt.Sprintf("attribute %s not declared", aname)))
-			continue
-		}
-		val := tok.AttrValue(i)
-		if msg := def.checkValue(val); msg != "" {
-			errs = append(errs, verr(epath(), string(name), tok.AttrNameOffset(i),
-				fmt.Sprintf("attribute %s: %s", aname, msg)))
-			continue
-		}
-		switch def.Type {
-		case AttID:
-			id := attTrim(val)
-			if _, dup := st.ids[string(id)]; dup {
-				errs = append(errs, verr(epath(), string(name), tok.AttrNameOffset(i),
-					fmt.Sprintf("ID %q already used in this document", id)))
-			} else {
-				if st.ids == nil {
-					st.ids = map[string]struct{}{}
-				}
-				st.ids[string(id)] = struct{}{}
-			}
-		case AttIDREF:
-			st.addRef(attTrim(val), tok.AttrNameOffset(i), name)
-		case AttIDREFS:
-			aoff := tok.AttrNameOffset(i)
-			eachField(val, func(f []byte) bool {
-				st.addRef(f, aoff, name)
-				return true
-			})
-		}
-	}
-	if al == nil {
-		return errs
-	}
-	for _, req := range al.required {
-		found := false
-		for i := 0; i < nattr; i++ {
-			if string(tok.AttrName(i)) == req.Name {
-				found = true
-				break
-			}
-		}
-		if !found {
-			errs = append(errs, verr(epath(), string(name), off,
-				fmt.Sprintf("required attribute %s missing", req.Name)))
-		}
-	}
-	// Defaulted IDREF/IDREFS values join the document's reference graph
-	// even when the attribute is absent.
-	for _, def := range al.refDefaults {
-		present := false
-		for i := 0; i < nattr; i++ {
-			if string(tok.AttrName(i)) == def.Name {
-				present = true
-				break
-			}
-		}
-		if present {
-			continue
-		}
-		if def.Type == AttIDREF {
-			st.addRefString(strings.TrimSpace(def.Value), off, name)
-		} else {
-			for _, f := range strings.Fields(def.Value) {
-				st.addRefString(f, off, name)
-			}
-		}
-	}
-	return errs
 }
 
 // doctypeName extracts the root element name from a "DOCTYPE …" directive

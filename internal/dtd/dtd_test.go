@@ -296,7 +296,7 @@ func TestChildrenPathZeroAlloc(t *testing.T) {
 	children := []string{"title", "author", "author", "chapter", "appendix"}
 	var s match.Stream
 	allocs := testing.AllocsPerRun(1000, func() {
-		book.matcher.InitStream(&s)
+		book.content.Matcher.InitStream(&s)
 		for _, c := range children {
 			s.FeedName(c)
 		}

@@ -1,37 +1,40 @@
-// Validator: corpus-scale concurrent validation. One DTD's compiled
-// content models (and their lazily built engines) are shared by every
-// worker — engines are immutable after construction and engine builds are
-// guarded by sync.Once — while all per-document state lives in a
-// per-worker docState whose frame stack (with its value match.Streams) is
-// reused from document to document. Steady state is therefore race-clean
-// and allocation-free on the matching path: validating the next document
-// costs XML decoding plus O(1)-state stream feeding, nothing else.
+// Validation: a DTD compiles into a validate.Model, and the one validation
+// pass in internal/validate does the rest. This file keeps the package's
+// names for that pass and holds what only DTDs have: the DOCTYPE root
+// check, global element lookup and <!ATTLIST> enforcement.
 package dtd
 
 import (
-	"os"
-	"runtime"
+	"fmt"
+	"io"
+	"strings"
 
 	"dregex"
-	"dregex/internal/pool"
+	"dregex/internal/validate"
 )
 
-// Validator validates many documents concurrently against one DTD (or,
-// in standalone mode, against each document's own internal DTD subset).
-// A Validator is safe for concurrent use and may be reused.
-type Validator struct {
-	d       *DTD
-	cache   *dregex.Cache
-	workers int
-}
+type (
+	// ValidationError describes one violation found while validating a
+	// document.
+	ValidationError = validate.Error
+	// Doc is one in-memory document to validate.
+	Doc = validate.Doc
+	// Result is the validation outcome for one document.
+	Result = validate.Result
+	// Validator validates many documents concurrently against one DTD (or,
+	// in standalone mode, against each document's own internal DTD
+	// subset). A Validator is safe for concurrent use and may be reused.
+	Validator = validate.Validator
+	// DocState is the reusable per-worker scratch of a validation pass,
+	// for long-running callers outside the package (the dregexd server
+	// pools these per schema). A zero value is ready.
+	DocState = validate.State
+)
 
 // NewValidator returns a pool validating against d with the given number
 // of workers (≤ 0 selects GOMAXPROCS).
 func NewValidator(d *DTD, workers int) *Validator {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return &Validator{d: d, workers: workers}
+	return validate.NewValidator(d.Model(), workers)
 }
 
 // NewStandaloneValidator returns a pool that validates each document
@@ -40,93 +43,174 @@ func NewValidator(d *DTD, workers int) *Validator {
 // repeated across the corpus — the common case in the wild — compile once
 // however many documents carry them.
 func NewStandaloneValidator(cache *dregex.Cache, workers int) *Validator {
-	if cache == nil {
-		cache = defaultCache
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return &Validator{cache: cache, workers: workers}
-}
-
-// Doc is one in-memory document to validate.
-type Doc struct {
-	Name string
-	Data []byte
-}
-
-// Result is the validation outcome for one document.
-type Result struct {
-	Name string
-	// Errors are the DTD violations found; empty for a valid document.
-	Errors []ValidationError
-	// Err is a document-level failure: unreadable file, malformed XML, or
-	// (standalone mode) a missing or unparsable internal subset.
-	Err error
-}
-
-// Valid reports whether the document was read, parsed and validated with
-// no violations.
-func (r Result) Valid() bool { return r.Err == nil && len(r.Errors) == 0 }
-
-// ValidateDocs validates in-memory documents concurrently; results[i]
-// corresponds to docs[i].
-func (v *Validator) ValidateDocs(docs []Doc) []Result {
-	results := make([]Result, len(docs))
-	v.run(len(docs), func(i int, st *docState) {
-		results[i] = v.validateOne(docs[i].Name, docs[i].Data, st)
-	})
-	return results
-}
-
-// ValidateFiles reads and validates the named files concurrently (file
-// I/O happens on the workers too); results[i] corresponds to paths[i].
-// With a fixed DTD each document streams straight from its open file —
-// O(decoder-buffer) memory however large the file; only standalone mode
-// buffers documents (the prolog is read for DocumentDTD, then the same
-// bytes are validated).
-func (v *Validator) ValidateFiles(paths []string) []Result {
-	results := make([]Result, len(paths))
-	v.run(len(paths), func(i int, st *docState) {
-		results[i] = v.validateFile(paths[i], st)
-	})
-	return results
-}
-
-func (v *Validator) validateFile(path string, st *docState) Result {
-	if v.d == nil {
-		data, err := os.ReadFile(path)
+	return validate.NewResolving(func(doc []byte) (validate.Model, error) {
+		d, err := DocumentDTD(doc, cache)
 		if err != nil {
-			return Result{Name: path, Err: err}
+			return nil, err
 		}
-		return v.validateOne(path, data, st)
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return Result{Name: path, Err: err}
-	}
-	defer f.Close()
-	errs, err := v.d.validate(f, st)
-	return Result{Name: path, Errors: errs, Err: err}
+		return d.Model(), nil
+	}, workers)
 }
 
-// run distributes n jobs over the worker pool, handing each worker its own
-// reusable docState.
-func (v *Validator) run(n int, job func(i int, st *docState)) {
-	pool.RunWithStates(n, v.workers, func(st *docState, i int) {
-		job(i, st)
-	})
+// Validate checks an XML document against the DTD: it must have one root
+// element, every element must be declared, its children sequence must
+// match its content model (evaluated with a streaming simulator — one
+// pass, no buffering of child lists), text content must be allowed, and
+// attributes must conform to the element's <!ATTLIST> declarations
+// (types, required/fixed constraints, document-wide ID uniqueness and
+// IDREF resolution). When the document carries a <!DOCTYPE> declaration,
+// the root element must match its name. It returns all violations found,
+// or nil.
+func (d *DTD) Validate(r io.Reader) ([]ValidationError, error) {
+	var st DocState
+	return st.Validate(d.Model(), r)
 }
 
-func (v *Validator) validateOne(name string, data []byte, st *docState) Result {
-	d := v.d
-	if d == nil {
-		var err error
-		d, err = DocumentDTD(data, v.cache)
-		if err != nil {
-			return Result{Name: name, Err: err}
+// ValidateBytes is Validate on an in-memory document, skipping the read.
+func (d *DTD) ValidateBytes(doc []byte) ([]ValidationError, error) {
+	var st DocState
+	return st.ValidateBytes(d.Model(), doc)
+}
+
+// ValidateReusing is Validate with caller-managed scratch: reusing one
+// DocState across documents keeps every internal buffer, so steady-state
+// validation performs no per-document allocation.
+func (d *DTD) ValidateReusing(r io.Reader, st *DocState) ([]ValidationError, error) {
+	return st.Validate(d.Model(), r)
+}
+
+// ValidateBytesReusing is ValidateBytes with caller-managed scratch.
+func (d *DTD) ValidateBytesReusing(doc []byte, st *DocState) ([]ValidationError, error) {
+	return st.ValidateBytes(d.Model(), doc)
+}
+
+// Model returns the DTD as the validation pass consults it.
+func (d *DTD) Model() validate.Model { return model{d} }
+
+// model implements validate.Model for a DTD.
+type model struct{ d *DTD }
+
+func (m model) Entities() map[string]string { return m.d.Entities }
+
+// Doctype takes the root name a DOCTYPE declares; a document may also
+// declare its own entities in the internal subset (common when validating
+// against an external DTD) — see docEntities for the precedence and skip
+// rules.
+func (m model) Doctype(directive string) (string, map[string]string) {
+	name, ok := doctypeName(directive)
+	if !ok {
+		return "", nil
+	}
+	return name, m.d.docEntities(directive)
+}
+
+// Root admits any declared element, provided it matches the DOCTYPE.
+func (m model) Root(s *validate.State, name []byte, doctype string) *validate.Content {
+	if doctype != "" && string(name) != doctype {
+		s.Violation(name, s.Tokenizer().Offset(),
+			fmt.Sprintf("root element <%s> does not match DOCTYPE %s", name, doctype))
+	}
+	return m.Child(s, nil, name)
+}
+
+// Child looks name up among the DTD's (global) element declarations.
+func (m model) Child(s *validate.State, _ *validate.Content, name []byte) *validate.Content {
+	el := m.d.Elements[string(name)]
+	if el == nil {
+		s.Violation(name, s.Tokenizer().Offset(), "element not declared")
+		return nil
+	}
+	return &el.content
+}
+
+// Attrs validates the current start tag's attributes against the
+// element's attribute list: every attribute must be declared and satisfy
+// its type and #FIXED constraints, required attributes must be present,
+// ID values must be unique document-wide, and IDREF/IDREFS values
+// (including defaulted ones) are queued for document-end resolution.
+func (m model) Attrs(s *validate.State, c *validate.Content, name []byte) {
+	al := m.d.Attlists[string(name)]
+	if c == nil && al == nil {
+		return // element undeclared: already reported, nothing to check against
+	}
+	tok := s.Tokenizer()
+	off := tok.Offset()
+	nattr := tok.AttrCount()
+	for i := 0; i < nattr; i++ {
+		aname := tok.AttrName(i)
+		if isXmlnsAttr(aname) {
+			continue
+		}
+		var def *AttDef
+		if al != nil {
+			def = al.defBytes(aname)
+		}
+		aoff := tok.AttrNameOffset(i)
+		if def == nil {
+			s.Violation(name, aoff, fmt.Sprintf("attribute %s not declared", aname))
+			continue
+		}
+		val := tok.AttrValue(i)
+		if msg := def.checkValue(val); msg != "" {
+			s.Violation(name, aoff, fmt.Sprintf("attribute %s: %s", aname, msg))
+			continue
+		}
+		switch def.Type {
+		case AttID:
+			if id := attTrim(val); !s.DeclareID(id) {
+				s.Violation(name, aoff, fmt.Sprintf("ID %q already used in this document", id))
+			}
+		case AttIDREF:
+			s.Ref(attTrim(val), aoff, name)
+		case AttIDREFS:
+			eachField(val, func(f []byte) bool {
+				s.Ref(f, aoff, name)
+				return true
+			})
 		}
 	}
-	errs, err := d.validateBytes(data, st)
-	return Result{Name: name, Errors: errs, Err: err}
+	if al == nil {
+		return
+	}
+	for _, req := range al.required {
+		found := false
+		for i := 0; i < nattr; i++ {
+			if string(tok.AttrName(i)) == req.Name {
+				found = true
+				break
+			}
+		}
+		if !found {
+			s.Violation(name, off, fmt.Sprintf("required attribute %s missing", req.Name))
+		}
+	}
+	// Defaulted IDREF/IDREFS values join the document's reference graph
+	// even when the attribute is absent.
+	for _, def := range al.refDefaults {
+		present := false
+		for i := 0; i < nattr; i++ {
+			if string(tok.AttrName(i)) == def.Name {
+				present = true
+				break
+			}
+		}
+		if present {
+			continue
+		}
+		if def.Type == AttIDREF {
+			s.RefString(strings.TrimSpace(def.Value), off, name)
+		} else {
+			for _, f := range strings.Fields(def.Value) {
+				s.RefString(f, off, name)
+			}
+		}
+	}
+}
+
+// isXmlnsAttr reports whether name declares a namespace (xmlns or
+// xmlns:prefix) — namespace declarations are not subject to ATTLIST
+// validation.
+func isXmlnsAttr(name []byte) bool {
+	return len(name) >= 5 && string(name[:5]) == "xmlns" &&
+		(len(name) == 5 || name[5] == ':')
 }

@@ -143,3 +143,24 @@ func TestValidatorFiles(t *testing.T) {
 		t.Error("missing file not reported")
 	}
 }
+
+// TestValidateRootCount: a document has exactly one root element, with or
+// without a DOCTYPE — a second top-level element is reported, and a
+// document with none (empty, or only a comment) is a document-level error.
+func TestValidateRootCount(t *testing.T) {
+	d, err := Parse("<!ELEMENT a EMPTY>")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, doc := range []string{"<a/><a/>", "<!DOCTYPE a><a/><a/>"} {
+		errs, err := d.ValidateBytes([]byte(doc))
+		if err != nil || len(errs) != 1 || !strings.Contains(errs[0].Msg, "more than one root") {
+			t.Errorf("%q: errs=%v err=%v, want one more-than-one-root error", doc, errs, err)
+		}
+	}
+	for _, doc := range []string{"", "<!-- c -->"} {
+		if _, err := d.ValidateBytes([]byte(doc)); err == nil || !strings.Contains(err.Error(), "no root element") {
+			t.Errorf("%q: err = %v, want no root element", doc, err)
+		}
+	}
+}

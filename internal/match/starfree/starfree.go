@@ -170,7 +170,11 @@ func (b *Batch) getScratch(n int) *batchScratch {
 
 // MatchAll matches every word (of interned symbols) and returns one verdict
 // per word. The expression is traversed once; total time is
-// O(|e| + Σ|w_i|) up to the stack-scan caveat documented in DESIGN.md.
+// O(|e| + Σ|w_i|), with one caveat: each position locates its consumption
+// point by scanning the rightmost-path stack from the top, and entries it
+// does not pop can be scanned again by later positions, so a position
+// costs up to the stack depth (bounded by the depth of e) rather than
+// amortized O(1).
 func (b *Batch) MatchAll(ws [][]ast.Symbol) []bool {
 	sc := b.getScratch(len(ws))
 	res := b.matchAll(ws, sc)

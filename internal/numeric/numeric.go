@@ -3,10 +3,10 @@
 // in O(|e|) time — improving the O(σ|e|) of Kilpeläinen [18] — plus
 // counter-based matching.
 //
-// Semantics and spec. Following DESIGN.md §4.4, the determinism *spec* for
-// counted expressions is determinism of the canonical unrolling
-// (e{m,n} = e·…·e·(e(e(…)?)?)?, e{m,∞} = e·…·e·e*), which the test suite
-// evaluates with the already-validated plain linear checker. The linear
+// Semantics and spec. The determinism *spec* for counted expressions is
+// determinism of the canonical unrolling (e{m,n} = e·…·e·(e(e(…)?)?)?,
+// e{m,∞} = e·…·e·e*), which the test suite evaluates with the
+// already-validated plain linear checker. The linear
 // counted checker reproduces that verdict directly on the counted parse
 // tree:
 //
@@ -25,7 +25,7 @@
 // The descendant-loop case walks one ancestor chain bounded by the parse
 // tree depth, so the implementation is O(|e| + D·|colored|) with D the
 // tree depth — linear for the bounded-depth content models the paper
-// targets (see DESIGN.md §4.4 for the honesty note).
+// targets, but short of the paper's O(|e|) bound for deep trees.
 package numeric
 
 import (

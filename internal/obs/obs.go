@@ -227,8 +227,10 @@ func escapeLabelValue(b *strings.Builder, v string) {
 	}
 }
 
-// snapshotFams returns the family list in registration order with series
-// slices copied, so encoders can walk them outside the lock.
+// snapshotFams returns the family list in registration order with the
+// series copied, so encoders can walk them outside the lock: a concurrent
+// CounterFunc or GaugeFunc re-registration replaces a series' callback
+// under the lock, so the copy must be taken under it too.
 func (r *Registry) snapshotFams() []*family {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -236,7 +238,10 @@ func (r *Registry) snapshotFams() []*family {
 	for _, name := range r.order {
 		f := r.fams[name]
 		c := &family{name: f.name, help: f.help, kind: f.kind, scale: f.scale}
-		c.series = append(c.series, f.series...)
+		for _, m := range f.series {
+			mc := *m
+			c.series = append(c.series, &mc)
+		}
 		out = append(out, c)
 	}
 	return out

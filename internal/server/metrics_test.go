@@ -231,19 +231,6 @@ func TestStatsObservability(t *testing.T) {
 	}
 }
 
-// TestPublishUniqueNames exercises the expvar collision fix: every server
-// instance gets its own name, and Publish is idempotent per instance.
-func TestPublishUniqueNames(t *testing.T) {
-	a, b := New(Config{}), New(Config{})
-	na, nb := a.Publish(), b.Publish()
-	if na == nb {
-		t.Fatalf("two servers published under one expvar name %q", na)
-	}
-	if again := a.Publish(); again != na {
-		t.Errorf("Publish not idempotent: %q then %q", na, again)
-	}
-}
-
 // TestMetricsConcurrent hammers validate, /metrics scrapes, /v1/stats and
 // schema hot swaps concurrently; run under -race it is the acceptance
 // criterion that the whole observability layer is race-clean, and every

@@ -18,14 +18,14 @@ import (
 	"dregex/internal/dtd"
 	"dregex/internal/pool"
 	"dregex/internal/run"
+	"dregex/internal/validate"
 	"dregex/internal/xsd"
 )
 
 // schemaEntry is one registered schema. Immutable after construction.
 type schemaEntry struct {
-	info client.SchemaInfo
-	dtd  *dtd.DTD    // KindDTD
-	xsd  *xsd.Schema // KindXSD
+	info  client.SchemaInfo
+	model validate.Model
 
 	// om holds the per-schema instruments (verdict counters, latency
 	// histogram, symbol/byte counters). The underlying instruments are
@@ -33,28 +33,29 @@ type schemaEntry struct {
 	// name continues the same series.
 	om *schemaMetrics
 	// tiers counts the schema's compiled content models per engine tier —
-	// which rung of the Auto ladder each model landed on.
+	// which rung of the Auto ladder each deterministic regular model landed
+	// on, plus "counter" for numeric (§3.3) XSD models. Nondeterministic
+	// models have no engine and are not counted (they surface as warnings).
 	tiers map[string]int
 	// limiter is this schema's validate-rate bucket (nil when per-schema
 	// limiting is off). Resolved by name like om, so hot swaps keep the
 	// bucket's fill state.
 	limiter *rateLimiter
 
-	// Validation-state pools, one per backend. Only the pool matching the
-	// kind is used; requests Get a state, validate, and Put it back.
-	dtdStates pool.StatePool[dtd.DocState]
-	xsdStates pool.StatePool[xsd.DocState]
+	// states pools the validation states of this schema: requests Get a
+	// state, validate, and Put it back.
+	states pool.StatePool[validate.State]
 }
 
 // validate checks one document against the entry's schema, riding a pooled
-// DocState so steady-state traffic reuses frame stacks and stream buffers.
+// State so steady-state traffic reuses frame stacks and stream buffers.
 // The document-level error (malformed XML, truncated read) is returned as
 // a value so the handler can classify it (e.g. a body-size trip → 413)
 // before it is stringified into the response.
 //
 // Instrumentation rides the same discipline as the hot path itself: the
 // per-document symbol and byte tallies accumulate non-atomically inside
-// the single-goroutine DocState and land in the shared atomic counters
+// the single-goroutine State and land in the shared atomic counters
 // once per request, after the state is read and before it returns to the
 // pool.
 //
@@ -62,32 +63,16 @@ type schemaEntry struct {
 func (e *schemaEntry) validate(r io.Reader, done <-chan struct{}, deadline time.Time) (client.ValidateResponse, error) {
 	start := time.Now()
 	resp := client.ValidateResponse{Schema: e.info.Name}
+	st := e.states.Get()
+	// Arm (or, with zero arguments, disarm) on every checkout: a state
+	// must never carry the previous request's deadline.
+	st.SetDeadline(done, deadline)
+	es, err := st.Validate(e.model, r)
+	symbols, docBytes := st.Symbols(), st.DocBytes()
+	e.states.Put(st)
 	var verrs []client.ValidationError
-	var err error
-	var symbols, docBytes int
-	switch e.info.Kind {
-	case client.KindDTD:
-		st := e.dtdStates.Get()
-		// Arm (or, with zero arguments, disarm) on every checkout: a state
-		// must never carry the previous request's deadline.
-		st.SetDeadline(done, deadline)
-		var es []dtd.ValidationError
-		es, err = e.dtd.ValidateReusing(r, st)
-		symbols, docBytes = st.Symbols(), st.DocBytes()
-		e.dtdStates.Put(st)
-		for _, ve := range es {
-			verrs = append(verrs, client.ValidationError(ve))
-		}
-	case client.KindXSD:
-		st := e.xsdStates.Get()
-		st.SetDeadline(done, deadline)
-		var es []xsd.ValidationError
-		es, err = e.xsd.ValidateReusing(r, st)
-		symbols, docBytes = st.Symbols(), st.DocBytes()
-		e.xsdStates.Put(st)
-		for _, ve := range es {
-			verrs = append(verrs, client.ValidationError(ve))
-		}
+	for _, ve := range es {
+		verrs = append(verrs, client.ValidationError(ve))
 	}
 	resp.Errors = verrs
 	if err != nil {
@@ -197,61 +182,47 @@ func (s *Server) compileSchema(name, kind string, src []byte) (*schemaEntry, err
 		if err != nil {
 			return nil, err
 		}
-		e.dtd = d
+		e.model = d.Model()
 		e.info.Elements = len(d.Elements)
 		for _, issue := range d.Check() {
 			e.info.Warnings = append(e.info.Warnings,
 				fmt.Sprintf("element %s: %s", issue.Element, issue.Msg))
+		}
+		e.tiers = make(map[string]int)
+		for _, el := range d.Elements {
+			if el.Kind == dtd.Children && el.CM != nil && el.Deterministic {
+				e.tiers[el.CM.AutoAlgorithm().String()]++
+			}
 		}
 	case client.KindXSD:
 		sch, err := xsd.ParseWithCache(src, s.cache)
 		if err != nil {
 			return nil, err
 		}
-		e.xsd = sch
+		e.model = sch.Model()
 		e.info.Elements = len(sch.Roots)
+		e.tiers = make(map[string]int)
 		for _, t := range sch.AllTypes {
-			if t.Kind == xsd.Children && !t.Deterministic {
+			if t.Kind != xsd.Children {
+				continue
+			}
+			switch {
+			case !t.Deterministic:
 				e.info.Warnings = append(e.info.Warnings,
 					fmt.Sprintf("type %s: content model %s violates UPA (%s)", t.Name, t.Model, t.Rule))
+			case t.Numeric:
+				e.tiers[dregex.TierCounter]++
+			case t.CM != nil:
+				e.tiers[t.CM.AutoAlgorithm().String()]++
 			}
 		}
 	default:
 		return nil, fmt.Errorf("unknown schema kind %q (want dtd or xsd)", kind)
 	}
-	e.tiers = schemaTiers(e)
 	e.om = s.schemaMetricsFor(name)
 	e.limiter = s.schemaLimiter(name)
 	s.registerTierGauges(name, e.tiers)
 	return e, nil
-}
-
-// schemaTiers counts the entry's compiled content models per engine tier:
-// the Auto-ladder resolution of each deterministic regular model, plus
-// "counter" for numeric (§3.3) XSD models. Nondeterministic models have no
-// engine and are not counted (they already surface as warnings).
-func schemaTiers(e *schemaEntry) map[string]int {
-	tiers := make(map[string]int)
-	switch {
-	case e.dtd != nil:
-		for _, el := range e.dtd.Elements {
-			if el.Kind == dtd.Children && el.CM != nil && el.Deterministic {
-				tiers[el.CM.AutoAlgorithm().String()]++
-			}
-		}
-	case e.xsd != nil:
-		for _, t := range e.xsd.AllTypes {
-			if t.Kind != xsd.Children || !t.Deterministic {
-				continue
-			}
-			if t.Numeric {
-				tiers[dregex.TierCounter]++
-			} else if t.CM != nil {
-				tiers[t.CM.AutoAlgorithm().String()]++
-			}
-		}
-	}
-	return tiers
 }
 
 // storeSchema publishes entry under its name, atomically replacing any

@@ -25,7 +25,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -96,9 +95,6 @@ type Server struct {
 	reqSeq    atomic.Uint64
 	accessLog *slog.Logger
 
-	publishOnce sync.Once
-	publishName string
-
 	handler http.Handler
 }
 
@@ -132,7 +128,6 @@ func New(cfg Config) *Server {
 	mux.Handle("GET /v1/schemas", s.counted("schemas", s.handleListSchemas))
 	mux.Handle("GET /v1/stats", s.counted("stats", s.handleStats))
 	mux.Handle("GET /metrics", s.counted("metrics", s.handleMetrics))
-	mux.Handle("GET /debug/vars", expvar.Handler())
 	s.handler = mux
 	return s
 }
@@ -151,35 +146,6 @@ func (s *Server) NewHTTPServer(addr string) *http.Server {
 		WriteTimeout:      60 * time.Second,
 		IdleTimeout:       120 * time.Second,
 	}
-}
-
-// publishMu serializes expvar name allocation across servers in one
-// process; expvar names are process-global and a second Publish of the
-// same name panics.
-var (
-	publishMu sync.Mutex
-	publishN  int
-)
-
-// Publish exports this server's stats snapshot on GET /debug/vars
-// (alongside the runtime's memstats) and returns the expvar name it was
-// published under. The first server in the process gets "dregexd"; later
-// servers get "dregexd-2", "dregexd-3", … — expvar names are
-// process-global, so each instance needs its own. Publish is idempotent
-// per server: repeated calls return the name chosen the first time.
-func (s *Server) Publish() string {
-	s.publishOnce.Do(func() {
-		publishMu.Lock()
-		publishN++
-		name := "dregexd"
-		if publishN > 1 {
-			name = fmt.Sprintf("dregexd-%d", publishN)
-		}
-		publishMu.Unlock()
-		s.publishName = name
-		expvar.Publish(name, expvar.Func(func() any { return s.statsSnapshot() }))
-	})
-	return s.publishName
 }
 
 // statusWriter records the response code and size so the middleware can

@@ -219,8 +219,8 @@ func (s *Skeletons) construct() {
 			return
 		}
 		// The extension adds only ancestors of existing members, so the
-		// set stays LCA-closed (DESIGN.md §1 note); lcaClose verifies and
-		// repairs if needed.
+		// set should stay LCA-closed; lcaClose verifies and repairs if
+		// needed.
 		perSym = s.lcaClose(perSym, sigma)
 		if s.NonDet != nil {
 			return

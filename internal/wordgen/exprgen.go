@@ -3,7 +3,8 @@
 // star-free, bounded plus-depth, mixed-content, CHARE/simple), and random
 // words drawn from or near the language of an expression. It supplies both
 // the fuzzing corpora for the test suite and the inputs for the E1–E9
-// benchmark experiments (see DESIGN.md §3).
+// benchmark experiments (bench_test.go and cmd/benchtab; see the README
+// section "XML/DTD tooling").
 package wordgen
 
 import (

@@ -19,8 +19,9 @@
 //	F = [lab()=⊙]/to-right/D        a follow target through concatenation
 //
 // Evaluation here is set-based and O(|φ|·|e|²) in the worst case — the
-// linear-time bound of Theorem 3.6 rides on Bojańczyk–Parys [7], which
-// DESIGN.md §4.3 documents as the one knowingly slower substitution. The
+// linear-time bound of Theorem 3.6 rides on Bojańczyk–Parys [7], whose
+// linear-time XPath evaluator is knowingly not reimplemented: this package
+// only serves tests, so the slower set-based evaluation suffices. The
 // point reproduced (and fuzz-tested against the linear checker) is the
 // expressibility result: one fixed query decides determinism for every
 // expression over every alphabet.

@@ -35,6 +35,7 @@ import (
 
 	"dregex"
 	"dregex/internal/numeric"
+	"dregex/internal/validate"
 )
 
 // ContentKind classifies a type's content model.
@@ -96,20 +97,15 @@ type Type struct {
 	// (paper §3/§3.3); Rule names the violated condition.
 	Deterministic bool
 	Rule          string
-	matcher       *dregex.Matcher
-	nmatcher      *dregex.NumericMatcher
 
 	// children maps child element names to their declarations (all kinds
 	// with element content).
 	children   map[string]*ElementDecl
 	childOrder []string
 
-	// AllGroup bookkeeping: member i is allDecl[i], required when
-	// allMin[i] > 0; allOptional is minOccurs=0 on the xs:all particle.
-	allIndex    map[string]int
-	allMin      []int
-	allDecl     []*ElementDecl
-	allOptional bool
+	// content is the type as the validation pass steps it (see bind); for
+	// xs:all it also holds the member bookkeeping.
+	content validate.Content
 }
 
 // ElementDecl is one element declaration (global or local).
@@ -210,6 +206,12 @@ func ParseWithCache(data []byte, cache *dregex.Cache) (*Schema, error) {
 		}
 	}
 	r.s.AllTypes = r.allTypes
+	for _, t := range r.allTypes {
+		t.content.Local = make(map[string]*validate.Content, len(t.children))
+		for name, decl := range t.children {
+			t.content.Local[name] = &decl.Type.content
+		}
+	}
 	return r.s, nil
 }
 
@@ -255,6 +257,7 @@ func (r *resolver) textType(name string) *Type {
 		return t
 	}
 	t := &Type{Name: name, Kind: TextContent, Deterministic: true}
+	t.bind()
 	r.text[name] = t
 	return t
 }
@@ -266,6 +269,7 @@ func (r *resolver) anyType() *Type {
 		return t
 	}
 	t := &Type{Name: "anyType", Kind: AnyContent, Mixed: true, Deterministic: true}
+	t.bind()
 	r.text["anyType"] = t
 	return t
 }
@@ -300,6 +304,27 @@ func (r *resolver) typeFor(p *rawParticle) (*Type, error) {
 
 // fillType compiles one complexType body into t.
 func (r *resolver) fillType(t *Type, rt *rawType) error {
+	err := r.fillBody(t, rt)
+	t.bind()
+	return err
+}
+
+// bind derives the content the validation pass steps from t's kind and
+// model; the matchers and xs:all members are set as they compile.
+func (t *Type) bind() {
+	c := &t.content
+	c.Kind = [...]validate.Kind{
+		EmptyContent: validate.Empty,
+		TextContent:  validate.Simple,
+		Children:     validate.Children,
+		AllGroup:     validate.All,
+		AnyContent:   validate.Any,
+	}[t.Kind]
+	c.Model = t.Model
+	c.Text = t.Mixed || t.Kind == TextContent || t.Kind == AnyContent
+}
+
+func (r *resolver) fillBody(t *Type, rt *rawType) error {
 	t.Mixed = rt.mixed
 	t.Line = rt.line
 	switch {
@@ -373,7 +398,7 @@ func (r *resolver) compileModel(t *Type, line int) error {
 		t.Deterministic = ne.IsDeterministic()
 		t.Rule = ne.Rule()
 		if t.Deterministic {
-			t.nmatcher = ne.Matcher()
+			t.content.Counter = ne.Matcher()
 		}
 		return nil
 	}
@@ -395,7 +420,7 @@ func (r *resolver) compileModel(t *Type, line int) error {
 				return errAt(line, "type %s: %v", t.Name, err)
 			}
 		}
-		t.matcher = m
+		t.content.Matcher = m
 	}
 	return nil
 }
@@ -413,13 +438,13 @@ func (r *resolver) fillAll(t *Type, p *rawParticle) error {
 	}
 	t.Kind = AllGroup
 	t.Deterministic = true
-	t.allOptional = p.min == 0
+	all := &t.content
+	all.Optional = p.min == 0
 	if p.max != 1 || p.min > 1 {
 		return errAt(p.line, "type %s: xs:all must have minOccurs 0 or 1 and maxOccurs 1", t.Name)
 	}
-	t.allIndex = map[string]int{}
+	all.Members = map[string]int{}
 	r.allTypes = append(r.allTypes, t)
-	var names []string
 	for _, item := range p.items {
 		if item.kind != "element" {
 			return errAt(item.line, "type %s: xs:all may contain only element declarations", t.Name)
@@ -434,15 +459,14 @@ func (r *resolver) fillAll(t *Type, p *rawParticle) error {
 		if err != nil {
 			return err
 		}
-		if _, dup := t.allIndex[decl.Name]; dup {
+		if _, dup := all.Members[decl.Name]; dup {
 			return errAt(item.line, "type %s: element %q appears twice in xs:all", t.Name, decl.Name)
 		}
-		t.allIndex[decl.Name] = len(t.allDecl)
-		t.allMin = append(t.allMin, item.min)
-		t.allDecl = append(t.allDecl, decl)
-		names = append(names, decl.Name)
+		all.Members[decl.Name] = len(all.Names)
+		all.Names = append(all.Names, decl.Name)
+		all.Required = append(all.Required, item.min > 0)
 	}
-	t.Model = "all(" + strings.Join(names, ", ") + ")"
+	t.Model = "all(" + strings.Join(all.Names, ", ") + ")"
 	return nil
 }
 
@@ -559,15 +583,6 @@ func (t *Type) Children() []string {
 }
 
 // Child returns the declaration of a child element name, or nil.
-// childBytes is Child for a name straight out of the tokenizer; the map
-// probe does not allocate.
-func (t *Type) childBytes(name []byte) *ElementDecl {
-	if t == nil || t.children == nil {
-		return nil
-	}
-	return t.children[string(name)]
-}
-
 func (t *Type) Child(name string) *ElementDecl {
 	if t == nil || t.children == nil {
 		return nil
@@ -618,19 +633,20 @@ func (t *Type) MatchChildren(names []string) bool {
 	case AnyContent:
 		return true
 	case AllGroup:
-		seen := make([]bool, len(t.allDecl))
+		all := &t.content
+		seen := make([]bool, len(all.Names))
 		for _, n := range names {
-			i, ok := t.allIndex[n]
+			i, ok := all.Members[n]
 			if !ok || seen[i] {
 				return false
 			}
 			seen[i] = true
 		}
-		if t.allOptional && len(names) == 0 {
+		if all.Optional && len(names) == 0 {
 			return true
 		}
-		for i, min := range t.allMin {
-			if min > 0 && !seen[i] {
+		for i, req := range all.Required {
+			if req && !seen[i] {
 				return false
 			}
 		}
@@ -639,8 +655,8 @@ func (t *Type) MatchChildren(names []string) bool {
 	if t.Numeric {
 		return t.NCM.MatchSymbols(names)
 	}
-	if t.matcher != nil {
-		return t.matcher.MatchSymbols(names)
+	if m := t.content.Matcher; m != nil {
+		return m.MatchSymbols(names)
 	}
 	m, err := t.CM.Matcher(dregex.NFA)
 	if err != nil {

@@ -214,7 +214,7 @@ func TestChildrenPathZeroAlloc(t *testing.T) {
 	children := []string{"sku", "img", "img", "img", "note"}
 	var st numeric.Stream
 	run := func() {
-		typ.nmatcher.InitStream(&st)
+		typ.content.Counter.InitStream(&st)
 		for _, c := range children {
 			st.FeedName(c)
 		}
@@ -233,14 +233,14 @@ func TestChildrenPathZeroAlloc(t *testing.T) {
 	// point is that allocations do not scale with the schema or grow run
 	// over run.
 	doc := "<catalog>" + product(3, "") + product(2, "") + "</catalog>"
-	var ds docState
-	if errs, err := s.validate(strings.NewReader(doc), &ds); err != nil || len(errs) != 0 {
+	var ds DocState
+	if errs, err := s.ValidateReusing(strings.NewReader(doc), &ds); err != nil || len(errs) != 0 {
 		t.Fatalf("warm-up: errs=%v err=%v", errs, err)
 	}
 	r := strings.NewReader("")
 	perDoc := testing.AllocsPerRun(200, func() {
 		r.Reset(doc)
-		if errs, err := s.validate(r, &ds); err != nil || len(errs) != 0 {
+		if errs, err := s.ValidateReusing(r, &ds); err != nil || len(errs) != 0 {
 			t.Fatal("document became invalid")
 		}
 	})
