@@ -49,8 +49,8 @@ fuzz-smoke:
 # bench runs the Go benchmark sweep and the benchtab experiment tables,
 # snapshotting both into BENCH_<date>.json for cross-PR comparison. The
 # sweep covers the root package plus the validator hot path (server
-# handlers and the xmltok tokenizer).
-BENCH_PKGS := . ./internal/server ./internal/xmltok
+# handlers, the validation pass and the xmltok tokenizer).
+BENCH_PKGS := . ./internal/server ./internal/validate ./internal/xmltok
 bench:
 	$(GO) test -run xxx -bench '$(BENCH_PATTERN)' -benchtime $(BENCH_TIME) -benchmem $(BENCH_PKGS) \
 		| tee /tmp/dregex_bench.txt
@@ -75,7 +75,7 @@ bench-snapshot: bench
 # allocs/op are machine-independent, while ns/op across runner generations
 # is not; run `make bench-check GATE_UNITS=` locally on the machine that
 # wrote the baseline to gate time too.
-BENCH_PINNED := MatcherCached|MatchWordInterned|MatchAllCached|CacheGet|NumericStreamInterned|TableVsKore|ServerValidateE2E|ServerValidateMetrics|ServerValidateLimited|XMLTok|ParseWord|LexerStream
+BENCH_PINNED := MatcherCached|MatchWordInterned|MatchAllCached|CacheGet|NumericStreamInterned|TableVsKore|ServerValidateE2E|ServerValidateMetrics|ServerValidateLimited|ValidateCorpusShapes|XMLTok|ParseWord|LexerStream
 BENCH_BASELINE := $(lastword $(sort $(wildcard BENCH_*.json)))
 GATE_UNITS ?= B/op,allocs/op
 bench-check:

@@ -104,7 +104,7 @@ func (c *Client) do1(ctx context.Context, method, path, contentType string, body
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
+	defer drainClose(resp.Body)
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
 		var er ErrorResponse
 		msg := resp.Status
@@ -125,6 +125,19 @@ func (c *Client) do1(ctx context.Context, method, path, contentType string, body
 	}
 	return json.NewDecoder(resp.Body).Decode(out)
 }
+
+// drainClose discards what a decoder left unread of a response body (a
+// JSON value's trailing newline, a chunked stream's terminator) before
+// closing it: net/http reuses the keep-alive connection only for a body
+// read to its end. The drain is bounded, so a huge or endless body costs
+// a reconnect rather than an unbounded read.
+func drainClose(body io.ReadCloser) {
+	io.CopyN(io.Discard, body, maxDrain)
+	body.Close()
+}
+
+// maxDrain bounds the unread response remainder drainClose discards.
+const maxDrain = 64 << 10
 
 func (c *Client) postJSON(ctx context.Context, path string, in, out any) error {
 	data, err := json.Marshal(in)

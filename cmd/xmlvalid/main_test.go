@@ -3,8 +3,10 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -147,5 +149,54 @@ func TestXmlvalidExpectedHints(t *testing.T) {
 	first := errs[0].(map[string]any)
 	if got, _ := first["expected"].([]any); len(got) != 1 || got[0] != "author" {
 		t.Errorf("json expected field = %v, want [author]; full error: %v", got, first)
+	}
+}
+
+// TestXmlvalidReportOrderMixedSizes checks that the -json report lists a
+// directory's documents in walk order, however the workers schedule them
+// (largest first): sizes here rise and fall against the name order.
+func TestXmlvalidReportOrderMixedSizes(t *testing.T) {
+	dir := t.TempDir()
+	dtdPath := filepath.Join(dir, "list.dtd")
+	if err := os.WriteFile(dtdPath, []byte("<!ELEMENT r (a*)>\n<!ELEMENT a (#PCDATA)>"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	docs := filepath.Join(dir, "docs")
+	if err := os.Mkdir(docs, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for i, n := range []int{3, 4000, 1, 900, 20000, 0, 50, 7000} {
+		doc := "<r>" + strings.Repeat("<a>x</a>", n) + "</r>"
+		if i == 3 {
+			doc = "<r><b/></r>" // the one invalid document
+		}
+		path := filepath.Join(docs, fmt.Sprintf("d%02d.xml", i))
+		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, path)
+	}
+	for _, workers := range []string{"1", "2", "3"} {
+		code, out := runQuiet(t, "-dtd", dtdPath, "-workers", workers, "-json", docs)
+		if code != 1 {
+			t.Fatalf("workers %s: exit = %d, want 1; output:\n%s", workers, code, out)
+		}
+		var reports []struct {
+			Path  string `json:"path"`
+			Valid bool   `json:"valid"`
+		}
+		if err := json.Unmarshal([]byte(out), &reports); err != nil {
+			t.Fatalf("workers %s: json report does not parse: %v\n%s", workers, err, out)
+		}
+		if len(reports) != len(want) {
+			t.Fatalf("workers %s: %d reports, want %d", workers, len(reports), len(want))
+		}
+		for i, r := range reports {
+			if r.Path != want[i] || r.Valid != (i != 3) {
+				t.Errorf("workers %s: report %d = %s valid=%v, want %s valid=%v",
+					workers, i, r.Path, r.Valid, want[i], i != 3)
+			}
+		}
 	}
 }

@@ -148,10 +148,15 @@ func ParseWithCache(src string, cache *dregex.Cache) (*DTD, error) {
 	src = StripBOM(src)
 	d := &DTD{Elements: map[string]*Element{}, Entities: map[string]string{}}
 	d.cache = cache
+	var children []*Element // deterministic Children declarations, to link
 	err := scanDecls(src, func(decl Decl) error {
 		switch decl.Kind {
 		case DeclElement:
-			return d.addElement(src, decl)
+			el, err := d.addElement(src, decl)
+			if err == nil && el.content.Matcher != nil {
+				children = append(children, el)
+			}
+			return err
 		case DeclAttlist:
 			return d.addAttlist(src, decl)
 		case DeclEntity:
@@ -165,24 +170,48 @@ func ParseWithCache(src string, cache *dregex.Cache) (*DTD, error) {
 	if len(d.Elements) == 0 {
 		return nil, errors.New("dtd: no <!ELEMENT> declarations found")
 	}
+	d.link(children)
 	return d, nil
 }
 
-func (d *DTD) addElement(src string, decl Decl) error {
+// link readies the compiled declarations for the validation pass: each
+// deterministic Children model gets its child table (names without an
+// <!ELEMENT> stay with Model.Child, which reports them), and each element
+// whose attribute list requires or defaults-IDREFs an attribute is marked
+// for Model.Attrs even on tags without attributes. It costs one Elements
+// probe per alphabet symbol of children and per attribute list.
+func (d *DTD) link(children []*Element) {
+	kid := func(name string) *validate.Content {
+		if el := d.Elements[name]; el != nil {
+			return &el.content
+		}
+		return nil
+	}
+	for _, el := range children {
+		el.content.Link(kid)
+	}
+	for name, al := range d.Attlists {
+		if el := d.Elements[name]; el != nil {
+			el.content.AttrRules = len(al.required) > 0 || len(al.refDefaults) > 0
+		}
+	}
+}
+
+func (d *DTD) addElement(src string, decl Decl) (*Element, error) {
 	if decl.Name == "" || decl.Body == "" {
-		return posErr(src, decl.Offset, "malformed element declaration <!ELEMENT %s", decl.Name)
+		return nil, posErr(src, decl.Offset, "malformed element declaration <!ELEMENT %s", decl.Name)
 	}
 	if _, dup := d.Elements[decl.Name]; dup {
-		return posErr(src, decl.Offset, "element %q declared twice", decl.Name)
+		return nil, posErr(src, decl.Offset, "element %q declared twice", decl.Name)
 	}
 	el, err := compileElement(decl.Name, decl.Body, d.cache)
 	if err != nil {
-		return posErr(src, decl.Offset, "%s", strings.TrimPrefix(err.Error(), "dtd: "))
+		return nil, posErr(src, decl.Offset, "%s", strings.TrimPrefix(err.Error(), "dtd: "))
 	}
 	el.Offset = decl.Offset
 	d.Elements[decl.Name] = el
 	d.Order = append(d.Order, decl.Name)
-	return nil
+	return el, nil
 }
 
 // addEntity records an internal general-entity declaration in ents.

@@ -196,7 +196,8 @@ func (g *grammar) doc(rng *rand.Rand, mutation int) string {
 // front ends: one counter-free deterministic content model per element,
 // written as a DTD and as a schema, must give every document the same
 // verdict — and on an invalid document the same first violation (path,
-// position and expected-next hint).
+// position and expected-next hint). Each front end must also report the
+// same with and without its child tables.
 func FuzzDTDXSDDocuments(f *testing.F) {
 	for seed := int64(0); seed < 40; seed++ {
 		f.Add(seed, uint8(seed%6))
@@ -231,6 +232,8 @@ func FuzzDTDXSDDocuments(f *testing.F) {
 		}
 		for i := 0; i < 8; i++ {
 			doc := g.doc(rng, int(mutation)%6)
+			sameWithoutTables(t, d.Model(), doc)
+			sameWithoutTables(t, s.Model(), doc)
 			derrs, derr := d.ValidateBytes([]byte(doc))
 			xerrs, xerr := s.ValidateBytes([]byte(doc))
 			dvalid := derr == nil && len(derrs) == 0

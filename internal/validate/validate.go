@@ -9,10 +9,16 @@
 // and each child element have, and whether a start tag's attributes
 // conform — while the pass itself steps the Content it is handed: frames
 // hold concrete match.Stream / numeric.Stream values, so feeding a child
-// costs no interface call. Per-document scratch lives in a reusable State
-// whose frame stack, tokenizer and read buffer survive from document to
-// document, so steady-state validation allocates nothing on the matching
-// path.
+// costs no interface call. Front ends link every deterministic Children
+// content to a child table indexed by its model's symbols (Content.Link),
+// so a start tag under such a parent costs one alphabet probe: the symbol
+// both steps the parent's stream and names the child's content. Model.Child
+// is consulted only for the root, for children of other parents and for
+// names the table lacks, and Model.Attrs only when the tag has attributes
+// or the element's attribute rules apply without any (Content.AttrRules).
+// Per-document scratch lives in a reusable State whose frame stack,
+// tokenizer and read buffer survive from document to document, so
+// steady-state validation allocates nothing on the matching path.
 package validate
 
 import (
@@ -23,6 +29,7 @@ import (
 	"time"
 
 	"dregex"
+	"dregex/internal/ast"
 	"dregex/internal/match"
 	"dregex/internal/numeric"
 	"dregex/internal/run"
@@ -79,17 +86,29 @@ const (
 // Front ends build one per element declaration (DTD) or type (XSD) when
 // they compile a schema; it is immutable afterwards.
 type Content struct {
+	// The fields the pass reads on every start tag come first, so they
+	// share a cache line.
 	Kind Kind
-	// Model is the content-model text that violations quote.
-	Model string
 	// Text reports whether non-whitespace character data is allowed.
 	Text bool
+	// AttrRules reports that the element's attribute rules have work even
+	// on a start tag without attributes (a required attribute, or a
+	// defaulted IDREF); without it the pass skips Model.Attrs on such tags.
+	AttrRules bool
 
 	// Children: the shared streaming matcher of a deterministic model —
 	// Matcher for plain models, Counter for counted ones. Both nil marks a
 	// nondeterministic model, whose elements cannot be validated.
 	Matcher *dregex.Matcher
 	Counter *dregex.NumericMatcher
+	// Kids is the child table of a linked Children content (see Link):
+	// Kids[a] is the content of the child named by symbol a of the model's
+	// alphabet alpha, nil where Model.Child decides. Nil until linked.
+	Kids  []*Content
+	alpha *ast.Alphabet
+
+	// Model is the content-model text that violations quote.
+	Model string
 
 	// Mixed: the element names allowed among the text.
 	Allowed map[string]bool
@@ -101,9 +120,45 @@ type Content struct {
 	Required []bool
 	Optional bool
 	// Local maps child names to their content where declarations are
-	// scoped to the parent's content model (XSD local elements); nil for
-	// front ends whose declarations are global.
+	// scoped to a parent that has no child table (XSD local elements of an
+	// xs:all or nondeterministic type); nil elsewhere.
 	Local map[string]*Content
+}
+
+// Link builds the child table of a deterministic Children content: kid
+// returns the content of the child element with the given name, or nil to
+// leave that name to Model.Child. It costs one kid call per symbol of the
+// model's alphabet; other contents are left unlinked. Front ends link each
+// content once, after their whole schema has compiled.
+func (c *Content) Link(kid func(name string) *Content) {
+	if c.Kind != Children {
+		return
+	}
+	switch {
+	case c.Counter != nil:
+		c.alpha = c.Counter.Alphabet()
+	case c.Matcher != nil:
+		c.alpha = c.Matcher.Alphabet()
+	default:
+		return // nondeterministic: its elements are never stepped
+	}
+	c.Kids = make([]*Content, c.alpha.Size())
+	for a := ast.FirstUser; int(a) < len(c.Kids); a++ {
+		c.Kids[a] = kid(c.alpha.Name(a))
+	}
+}
+
+// Kid returns the content the child table holds for name: nil when c is
+// unlinked, name is outside the model's alphabet, or Link left it to
+// Model.Child.
+func (c *Content) Kid(name []byte) *Content {
+	if c.Kids == nil {
+		return nil
+	}
+	if a, ok := run.LookupBytes(c.alpha, name); ok {
+		return c.Kids[a]
+	}
+	return nil
 }
 
 // Model is a compiled schema as the pass consults it. Implementations are
@@ -121,10 +176,14 @@ type Model interface {
 	// DOCTYPE's root name ("" without one); nil marks it undeclared.
 	Root(s *State, name []byte, doctype string) *Content
 	// Child returns the content of element name inside parent (nil when
-	// the parent is undeclared); nil marks it undeclared.
+	// the parent is undeclared); nil marks it undeclared. It is the
+	// fallback path: the pass consults it only where the parent's child
+	// table (Content.Kids) has no entry — parents that are not linked
+	// Children contents, and names the table lacks.
 	Child(s *State, parent *Content, name []byte) *Content
 	// Attrs checks the attributes of the current start tag, of element
-	// name with content c (nil when undeclared).
+	// name with content c (nil when undeclared). The pass skips it on a
+	// declared element's tag without attributes unless c.AttrRules is set.
 	Attrs(s *State, c *Content, name []byte)
 }
 
@@ -180,6 +239,10 @@ type State struct {
 	// cp is the cooperative cancellation point probed once per token; it
 	// stays disarmed (one branch per token) unless SetDeadline armed it.
 	cp run.Checkpoint
+	// plain makes the pass resolve every child through Model.Child and
+	// check every start tag through Model.Attrs, ignoring child tables and
+	// AttrRules (a test switch: their differential oracle).
+	plain bool
 }
 
 // Symbols reports how many content-model symbols (child elements fed to
@@ -247,16 +310,31 @@ func (s *State) RefString(val string, off int, elem []byte) {
 // violations found, or nil; the error is a document-level failure
 // (unreadable input, malformed XML, no root element, an aborted run).
 func (s *State) Validate(m Model, r io.Reader) ([]Error, error) {
+	errs, err := s.validateReader(m, r)
+	if cap(s.buf) > maxKeepBuf {
+		s.buf = nil
+	}
+	return errs, err
+}
+
+// validateReader is Validate keeping the read buffer however large it
+// grew, for a caller that bounds the State's life (a ValidateFiles worker).
+func (s *State) validateReader(m Model, r io.Reader) ([]Error, error) {
 	data, err := xmltok.ReadAll(r, s.buf)
 	s.buf = data
 	if err != nil {
 		return nil, fmt.Errorf("read: %w", err)
 	}
-	errs, verr := s.ValidateBytes(m, data)
-	if cap(s.buf) > maxKeepBuf {
-		s.buf = nil
+	return s.ValidateBytes(m, data)
+}
+
+// reserve sizes the read buffer for an n-byte document, plus the byte
+// xmltok.ReadAll reads EOF into, so the read allocates at most once
+// instead of regrowing from a small buffer.
+func (s *State) reserve(n int64) {
+	if n >= 0 && int64(cap(s.buf)) <= n {
+		s.buf = make([]byte, 0, n+1)
 	}
-	return errs, verr
 }
 
 // ValidateBytes is Validate on an in-memory document, skipping the read.
@@ -341,15 +419,15 @@ func (s *State) walk(m Model, data []byte) error {
 				sawRoot = true
 				c = m.Root(s, name, doctype)
 			} else {
-				p := &s.stack[len(s.stack)-1]
-				s.feed(p, name, off)
-				c = m.Child(s, p.c, name)
+				c = s.child(m, &s.stack[len(s.stack)-1], name, off)
 			}
 			nondet := c != nil && c.Kind == Children && c.Matcher == nil && c.Counter == nil
 			if nondet {
 				s.Violation(name, off, "content model is nondeterministic; cannot validate")
 			}
-			m.Attrs(s, c, name)
+			if c == nil || c.AttrRules || tok.AttrCount() > 0 || s.plain {
+				m.Attrs(s, c, name)
+			}
 			f := s.push()
 			//dregex:ok spanretain name is a Name() span into the stable document buffer (never scratch); ValidateBytes clears it before the next document
 			f.c, f.name = c, name
@@ -410,6 +488,27 @@ func (s *State) push() *frame {
 	return f
 }
 
+// child records child name, at off, in parent frame p's content model and
+// returns the child's content. Under a linked parent one alphabet probe
+// does both: the symbol steps p's stream and indexes p's child table.
+func (s *State) child(m Model, p *frame, name []byte, off int) *Content {
+	pc := p.c
+	if pc == nil || pc.Kids == nil || s.plain {
+		s.feed(p, name, off)
+		return m.Child(s, pc, name)
+	}
+	a, ok := run.LookupBytes(pc.alpha, name) // ast.None, which Feed rejects, on a miss
+	if !p.failed {
+		s.step(p, a, name, off)
+	}
+	if ok {
+		if kid := pc.Kids[a]; kid != nil {
+			return kid
+		}
+	}
+	return m.Child(s, pc, name)
+}
+
 // feed records child name in the parent frame's content model.
 func (s *State) feed(p *frame, name []byte, off int) {
 	if p.c == nil || p.failed {
@@ -438,17 +537,30 @@ func (s *State) feed(p *frame, name []byte, off int) {
 			p.any = true
 		}
 	case Children:
-		s.symbols++
-		var ok bool
+		var alpha *ast.Alphabet
 		if c.Counter != nil {
-			ok = p.ctrs.FeedBytes(name)
+			alpha = p.ctrs.Alphabet()
 		} else {
-			ok = p.stream.FeedBytes(name)
+			alpha = p.stream.Alphabet()
 		}
-		if !ok {
-			e := s.fail(p, off, fmt.Sprintf("child <%s> violates content model %s", name, c.Model))
-			e.Expected = p.expected()
-		}
+		a, _ := run.LookupBytes(alpha, name)
+		s.step(p, a, name, off)
+	}
+}
+
+// step feeds symbol a, naming child name at off, to the Children model of
+// parent frame p.
+func (s *State) step(p *frame, a ast.Symbol, name []byte, off int) {
+	s.symbols++
+	var ok bool
+	if p.c.Counter != nil {
+		ok = p.ctrs.Feed(a)
+	} else {
+		ok = p.stream.Feed(a)
+	}
+	if !ok {
+		e := s.fail(p, off, fmt.Sprintf("child <%s> violates content model %s", name, p.c.Model))
+		e.Expected = p.expected()
 	}
 }
 

@@ -1,8 +1,10 @@
 package validate
 
 import (
+	"cmp"
 	"os"
 	"runtime"
+	"slices"
 
 	"dregex/internal/pool"
 )
@@ -71,15 +73,36 @@ func (v *Validator) ValidateDocs(docs []Doc) []Result {
 
 // ValidateFiles reads and validates the named files concurrently (file
 // I/O happens on the workers too); results[i] corresponds to paths[i].
-// With a fixed model each file is read straight into the worker's reused
-// buffer; a resolving pool reads each file whole first, so the resolver
-// can see it.
+// Workers take the files largest first, so the biggest documents do not
+// start last and leave the other workers idle. With a fixed model each
+// file is read straight into the worker's buffer, sized from the file's
+// length and kept for the rest of the run — so a worker allocates it once,
+// for its first and largest file; a resolving pool reads each file whole
+// first, so the resolver can see it.
 func (v *Validator) ValidateFiles(paths []string) []Result {
 	results := make([]Result, len(paths))
-	pool.RunWithStates(len(paths), v.workers, func(st *State, i int) {
+	order := largestFirst(paths)
+	pool.RunWithStates(len(paths), v.workers, func(st *State, j int) {
+		i := order[j]
 		results[i] = v.validateFile(paths[i], st)
 	})
 	return results
+}
+
+// largestFirst returns the indices of paths by decreasing file size; ties
+// and unstattable paths (sized 0, reported by validateFile) keep their
+// input order.
+func largestFirst(paths []string) []int {
+	sizes := make([]int64, len(paths))
+	order := make([]int, len(paths))
+	for i, p := range paths {
+		order[i] = i
+		if fi, err := os.Stat(p); err == nil {
+			sizes[i] = fi.Size()
+		}
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(sizes[b], sizes[a]) })
+	return order
 }
 
 func (v *Validator) validateFile(path string, st *State) Result {
@@ -95,7 +118,10 @@ func (v *Validator) validateFile(path string, st *State) Result {
 		return Result{Name: path, Err: err}
 	}
 	defer f.Close()
-	errs, err := st.Validate(v.model, f)
+	if fi, err := f.Stat(); err == nil && fi.Mode().IsRegular() {
+		st.reserve(fi.Size())
+	}
+	errs, err := st.validateReader(v.model, f)
 	return Result{Name: path, Errors: errs, Err: err}
 }
 

@@ -207,10 +207,22 @@ func ParseWithCache(data []byte, cache *dregex.Cache) (*Schema, error) {
 	}
 	r.s.AllTypes = r.allTypes
 	for _, t := range r.allTypes {
-		t.content.Local = make(map[string]*validate.Content, len(t.children))
-		for name, decl := range t.children {
-			t.content.Local[name] = &decl.Type.content
+		if t.content.Matcher == nil && t.content.Counter == nil {
+			// xs:all, or a nondeterministic model: children resolve by name.
+			t.content.Local = make(map[string]*validate.Content, len(t.children))
+			for name, decl := range t.children {
+				t.content.Local[name] = &decl.Type.content
+			}
+			continue
 		}
+		// Deterministic Children: the child table replaces the name map
+		// (one t.children probe per alphabet symbol).
+		t.content.Link(func(name string) *validate.Content {
+			if decl := t.children[name]; decl != nil {
+				return &decl.Type.content
+			}
+			return nil
+		})
 	}
 	return r.s, nil
 }

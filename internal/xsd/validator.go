@@ -91,13 +91,18 @@ func (m model) Root(st *validate.State, name []byte, _ string) *validate.Content
 	return &decl.Type.content
 }
 
-// Child looks name up among the declarations local to the parent's type;
-// an undeclared child is already a violation of the parent's model.
+// Child looks name up among the declarations local to the parent's type:
+// the name map of an xs:all or nondeterministic type, or the child table
+// of a deterministic one. An undeclared child is already a violation of
+// the parent's model.
 func (model) Child(_ *validate.State, parent *validate.Content, name []byte) *validate.Content {
 	if parent == nil {
 		return nil
 	}
-	return parent.Local[string(name)]
+	if parent.Local != nil {
+		return parent.Local[string(name)]
+	}
+	return parent.Kid(name)
 }
 
 // Attrs accepts every attribute: schemas' attribute declarations are not

@@ -202,6 +202,11 @@ func errNondet(e *Expr) error {
 // Algorithm returns the engine actually selected (resolving Auto).
 func (m *Matcher) Algorithm() Algorithm { return m.algo }
 
+// Alphabet returns the expression's sealed alphabet, the symbol space of
+// MatchWord and Stream.Feed. It is read-only: callers may look names up
+// but must not intern into it.
+func (m *Matcher) Alphabet() *ast.Alphabet { return m.expr.alpha }
+
 // MatchSymbols matches a word given as symbol names.
 func (m *Matcher) MatchSymbols(names []string) bool {
 	if m.nfa != nil {

@@ -154,6 +154,10 @@ type NumericMatcher struct {
 // counter engine needs no construction beyond compilation itself).
 func (e *NumericExpr) Matcher() *NumericMatcher { return &e.m }
 
+// Alphabet returns the expression's sealed alphabet, the symbol space of
+// MatchWord and NumericStream.Feed (read-only, like Matcher.Alphabet).
+func (m *NumericMatcher) Alphabet() *ast.Alphabet { return m.c.Alpha }
+
 // MatchSymbols matches a word given as symbol names.
 func (m *NumericMatcher) MatchSymbols(names []string) bool { return m.c.MatchNames(names) }
 
