@@ -35,8 +35,8 @@ smoke-server:
 chaos-smoke:
 	$(GO) test -race -tags faultinject -run TestDregexdChaos -v ./cmd/dregexd
 
-# fuzz-smoke runs the schema front-end fuzz targets and the document-level
-# DTD-vs-XSD differential briefly (seed corpus plus a short random
+# fuzz-smoke runs the schema front-end fuzz targets, the document-level
+# DTD-vs-XSD differential and the one-pass AST canonicalization check briefly (seed corpus plus a short random
 # exploration); CI invokes this on every push.
 FUZZTIME ?= 10s
 fuzz-smoke:
@@ -45,6 +45,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzDTDXSDDocuments -fuzztime $(FUZZTIME) ./internal/validate
 	$(GO) test -run xxx -fuzz FuzzXMLTok -fuzztime $(FUZZTIME) ./internal/xmltok
 	$(GO) test -run xxx -fuzz FuzzLexer -fuzztime $(FUZZTIME) .
+	$(GO) test -run xxx -fuzz FuzzCanonical -fuzztime $(FUZZTIME) ./internal/ast
 
 # bench runs the Go benchmark sweep and the benchtab experiment tables,
 # snapshotting both into BENCH_<date>.json for cross-PR comparison. The
@@ -67,15 +68,16 @@ bench:
 # name PRs are expected to use before committing fresh numbers).
 bench-snapshot: bench
 
-# Pinned hot-path benchmarks: the 0/1-alloc steady-state paths plus the
-# dense-table tier. bench-check runs just these, wraps the output in a
-# snapshot, and diffs it against the newest committed BENCH_*.json with the
-# regression gate: >25% worse on a gated metric (or any movement off a
-# pinned zero) fails. CI gates the allocation metrics only — B/op and
-# allocs/op are machine-independent, while ns/op across runner generations
-# is not; run `make bench-check GATE_UNITS=` locally on the machine that
-# wrote the baseline to gate time too.
-BENCH_PINNED := MatcherCached|MatchWordInterned|MatchAllCached|CacheGet|NumericStreamInterned|TableVsKore|ServerValidateE2E|ServerValidateMetrics|ServerValidateLimited|ValidateCorpusShapes|XMLTok|ParseWord|LexerStream
+# Pinned hot-path benchmarks: the 0/1-alloc steady-state paths, the
+# dense-table tier, and the compile of a 25k-node model (CompileSORE).
+# bench-check runs just these, wraps the output in a snapshot, and diffs it
+# against the newest committed BENCH_*.json with the regression gate: >25%
+# worse on a gated metric (or any movement off a pinned zero) fails. CI
+# gates the allocation metrics only — B/op and allocs/op are
+# machine-independent, while ns/op across runner generations is not; run
+# `make bench-check GATE_UNITS=` locally on the machine that wrote the
+# baseline to gate time too.
+BENCH_PINNED := MatcherCached|MatchWordInterned|MatchAllCached|CacheGet|NumericStreamInterned|TableVsKore|ServerValidateE2E|ServerValidateMetrics|ServerValidateLimited|ValidateCorpusShapes|XMLTok|ParseWord|LexerStream|CompileSORE
 BENCH_BASELINE := $(lastword $(sort $(wildcard BENCH_*.json)))
 GATE_UNITS ?= B/op,allocs/op
 bench-check:

@@ -3,7 +3,9 @@
 // cost of every engine on one workload (E3–E5 summary), numeric-bound
 // independence (E7), and the synthetic DTD corpus statistics (E9) — and
 // diffs the BENCH_<date>.json snapshots `make bench` writes, so the
-// performance trajectory is comparable PR over PR.
+// performance trajectory is comparable from one change to the next. Every
+// timed cell is the median of 5 runs, each started right after a forced
+// collection; E1 also reports the median allocations per symbol.
 //
 // Usage:
 //
@@ -21,6 +23,8 @@ import (
 	"math/rand"
 	"os"
 	"regexp"
+	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -88,16 +92,43 @@ func main() {
 	}
 }
 
+// reps is how many times every table cell is measured; cells print the
+// median.
+const reps = 5
+
+// measure runs f reps times and returns the median wall time and the
+// median number of heap allocations of one run. Each run starts right
+// after a forced collection, so no run pays for the garbage of an earlier
+// one (a quadratic baseline's, say).
+func measure(f func()) (time.Duration, uint64) {
+	var ds [reps]time.Duration
+	var as [reps]uint64
+	var ms runtime.MemStats
+	for i := range ds {
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		mallocs := ms.Mallocs
+		t0 := time.Now()
+		f()
+		ds[i] = time.Since(t0)
+		runtime.ReadMemStats(&ms)
+		as[i] = ms.Mallocs - mallocs
+	}
+	slices.Sort(ds[:])
+	slices.Sort(as[:])
+	return ds[reps/2], as[reps/2]
+}
+
+// timeIt is measure's median wall time.
 func timeIt(f func()) time.Duration {
-	t0 := time.Now()
-	f()
-	return time.Since(t0)
+	d, _ := measure(f)
+	return d
 }
 
 // E1: linear determinism test vs Glushkov/BK on E = (a1+…+am)*.
 func e1() {
 	fmt.Println("E1: determinism on mixed content E=(a1+…+am)*  (Thm 3.5 vs BK baseline)")
-	fmt.Printf("%10s %14s %14s %10s\n", "m", "linear", "glushkov-BK", "ratio")
+	fmt.Printf("%10s %14s %10s %12s %14s %10s\n", "m", "linear", "ns/sym", "allocs/sym", "glushkov-BK", "ratio")
 	for _, m := range []int{1024, 2048, 4096, 8192, 16384} {
 		alpha := ast.NewAlphabet()
 		tr, err := parsetree.Build(ast.Normalize(wordgen.MixedContent(alpha, m)), alpha)
@@ -105,21 +136,24 @@ func e1() {
 			panic(err)
 		}
 		fol := follow.New(tr)
-		lin := timeIt(func() {
+		lin, allocs := measure(func() {
 			if !determinism.Check(tr, fol).Deterministic {
 				panic("must be deterministic")
 			}
 		})
-		var bk time.Duration
-		if m <= 8192 {
-			bk = timeIt(func() {
+		row := fmt.Sprintf("%10d %14v %10.1f %12.4f", m, lin,
+			float64(lin.Nanoseconds())/float64(m), float64(allocs)/float64(m))
+		// The quadratic baseline is capped, like its Go benchmark: each
+		// of its runs at m=8192 takes seconds.
+		if m <= 4096 {
+			bk := timeIt(func() {
 				if glushkov.CheckBK(tr) != nil {
 					panic("must be deterministic")
 				}
 			})
-			fmt.Printf("%10d %14v %14v %9.1fx\n", m, lin, bk, float64(bk)/float64(lin))
+			fmt.Printf("%s %14v %9.1fx\n", row, bk, float64(bk)/float64(lin))
 		} else {
-			fmt.Printf("%10d %14v %14s %10s\n", m, lin, "(skipped)", "-")
+			fmt.Printf("%s %14s %10s\n", row, "(skipped)", "-")
 		}
 	}
 	fmt.Println()
@@ -178,15 +212,12 @@ func e5() {
 	}
 	fmt.Printf("%22s %12s  (word length %d)\n", "engine", "ns/symbol", len(w))
 	for _, s := range sims {
-		reps := 5
 		d := timeIt(func() {
-			for i := 0; i < reps; i++ {
-				if !match.Word(s.sim, w) {
-					panic("must match")
-				}
+			if !match.Word(s.sim, w) {
+				panic("must match")
 			}
 		})
-		fmt.Printf("%22s %12.1f\n", s.name, float64(d.Nanoseconds())/float64(reps*len(w)))
+		fmt.Printf("%22s %12.1f\n", s.name, float64(d.Nanoseconds())/float64(len(w)))
 	}
 	fmt.Printf("%22s %12s  (workload exceeds the %d-entry table budget)\n",
 		"table", "-", table.DefaultBudget)
@@ -234,15 +265,15 @@ func e5Table() {
 	fmt.Printf("%22s %12s  (word length %d, %d table entries)\n",
 		"engine", "ns/symbol", len(w), tab.Entries())
 	for _, s := range rows {
-		reps := 20
+		const words = 4 // one word runs for well under a millisecond
 		d := timeIt(func() {
-			for i := 0; i < reps; i++ {
+			for i := 0; i < words; i++ {
 				if !s.run() {
 					panic("must match")
 				}
 			}
 		})
-		fmt.Printf("%22s %12.1f\n", s.name, float64(d.Nanoseconds())/float64(reps*len(w)))
+		fmt.Printf("%22s %12.1f\n", s.name, float64(d.Nanoseconds())/float64(words*len(w)))
 	}
 	fmt.Println()
 }
@@ -307,11 +338,10 @@ func e9() {
 			panic(err)
 		}
 		fol := follow.New(tr)
-		total += timeIt(func() {
-			if determinism.Check(tr, fol).Deterministic {
-				det++
-			}
-		})
+		if determinism.Check(tr, fol).Deterministic {
+			det++
+		}
+		total += timeIt(func() { determinism.Check(tr, fol) })
 	}
 	fmt.Printf("  models: %d   1-ORE: %.1f%%   CHARE: %.1f%%   ce≤4: %.1f%% (max ce %d)\n",
 		n, 100*float64(oneORE)/n, 100*float64(chare)/n, 100*float64(ceLE4)/n, maxCE)

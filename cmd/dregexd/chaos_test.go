@@ -20,7 +20,7 @@ import (
 	"time"
 
 	"dregex/client"
-	"dregex/internal/obs"
+	"dregex/internal/obs/obstest"
 )
 
 // TestDregexdChaos is the fault-injection suite (make chaos-smoke): it
@@ -248,7 +248,7 @@ func TestDregexdChaos(t *testing.T) {
 	if err != nil {
 		t.Fatalf("metrics after chaos: %v", err)
 	}
-	exp, err := obs.ParseExposition(mresp.Body)
+	exp, err := obstest.ParseExposition(mresp.Body)
 	mresp.Body.Close()
 	if err != nil {
 		t.Fatalf("exposition after chaos: %v", err)

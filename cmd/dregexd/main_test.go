@@ -18,6 +18,7 @@ import (
 
 	"dregex/client"
 	"dregex/internal/obs"
+	"dregex/internal/obs/obstest"
 )
 
 // TestDregexdSmoke is the CI server smoke test (make smoke-server): it
@@ -196,7 +197,7 @@ func TestDregexdDrainObservability(t *testing.T) {
 		if err != nil {
 			t.Fatalf("polling /metrics: %v", err)
 		}
-		exp, err := obs.ParseExposition(resp.Body)
+		exp, err := obstest.ParseExposition(resp.Body)
 		resp.Body.Close()
 		if err != nil {
 			t.Fatalf("polling /metrics: %v", err)
@@ -272,7 +273,7 @@ func TestDregexdDrainObservability(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reading mid-drain metrics: %v", err)
 	}
-	exp, err := obs.ParseExposition(respB.Body)
+	exp, err := obstest.ParseExposition(respB.Body)
 	respB.Body.Close()
 	if err != nil {
 		t.Fatalf("mid-drain exposition: %v", err)

@@ -74,10 +74,8 @@ type Expr struct {
 	source string
 	syntax Syntax
 	alpha  *ast.Alphabet
-	root   *ast.Node // normalized, plus-desugared user expression
 	tree   *parsetree.Tree
 	fol    *follow.Index
-	sks    *skeleton.Skeletons
 	det    *determinism.Result
 	stats  Stats     // memoized at compile time
 	auto   Algorithm // Auto resolved against stats, once, at compile time
@@ -149,25 +147,23 @@ func parseSource(source string, syntax Syntax) (*ast.Node, *ast.Alphabet, error)
 }
 
 func compileAST(source string, syntax Syntax, root *ast.Node, alpha *ast.Alphabet) (*Expr, error) {
-	root = ast.Normalize(ast.DesugarPlus(ast.Normalize(root)))
-	if err := ast.ValidatePlain(root); err != nil {
+	tree, err := parsetree.Build(ast.Canonical(root), alpha)
+	if errors.Is(err, parsetree.ErrIterUnsupported) {
 		return nil, ErrNumericIndicator
 	}
-	tree, err := parsetree.Build(root, alpha)
 	if err != nil {
 		return nil, err
 	}
 	fol := follow.New(tree)
-	sks := skeleton.Build(tree, fol, skeleton.Options{})
-	det := determinism.CheckSkeletons(tree, sks, false)
+	// The skeleta serve the determinism test only; the Expr keeps the
+	// verdict, not them.
+	det := determinism.CheckSkeletons(tree, skeleton.Build(tree, fol, skeleton.Options{}), false)
 	e := &Expr{
 		source: source,
 		syntax: syntax,
 		alpha:  alpha,
-		root:   root,
 		tree:   tree,
 		fol:    fol,
-		sks:    sks,
 		det:    det,
 	}
 	e.stats = computeStats(e)
@@ -188,12 +184,19 @@ func MustCompile(source string, syntax Syntax) *Expr {
 // Source returns the original expression text.
 func (e *Expr) Source() string { return e.source }
 
-// String renders the normalized expression in its own syntax.
+// String renders the normalized expression in its own syntax. The Expr
+// keeps no AST, so String re-derives the canonical form from the source
+// (into a private alphabet, leaving the shared one untouched).
 func (e *Expr) String() string {
-	if e.syntax == DTD || e.syntax == XSD {
-		return ast.StringDTD(e.root, e.alpha)
+	root, alpha, err := parseSource(e.source, e.syntax)
+	if err != nil {
+		panic("dregex: compiled source no longer parses: " + err.Error())
 	}
-	return ast.StringMath(e.root, e.alpha)
+	root = ast.Canonical(root)
+	if e.syntax == DTD || e.syntax == XSD {
+		return ast.StringDTD(root, alpha)
+	}
+	return ast.StringMath(root, alpha)
 }
 
 // IsDeterministic reports whether the expression is deterministic
@@ -280,20 +283,50 @@ type Stats struct {
 // Stats returns the structural summary, computed once at compile time.
 func (e *Expr) Stats() Stats { return e.stats }
 
+// computeStats reads every parameter off the parse tree in two linear
+// passes. K counts the user positions per symbol; depth, alternation
+// depth and star-freeness come from the user subtree e′, whose preorder
+// ids run from UserRoot to just before the phantom $ (the (R1) wrapper
+// nodes lie no deeper than UserRoot, so the tree depth is e′'s).
 func computeStats(e *Expr) Stats {
+	t := e.tree
 	s := Stats{
-		Size:             e.tree.N(),
-		Positions:        e.tree.NumPositions() - 2,
-		Sigma:            e.alpha.UserSize(),
-		K:                ast.MaxOccurrence(e.root),
-		AlternationDepth: ast.AlternationDepth(e.root),
-		StarFree:         !ast.HasStar(e.root),
-		Deterministic:    e.det.Deterministic,
+		Size:          t.N(),
+		Positions:     t.NumPositions() - 2,
+		Sigma:         e.alpha.UserSize(),
+		StarFree:      true,
+		Deterministic: e.det.Deterministic,
 	}
-	for n := int32(0); n < int32(e.tree.N()); n++ {
-		if d := int(e.tree.Depth[n]); d > s.Depth {
-			s.Depth = d
+	occ := make([]int32, e.alpha.Size())
+	for _, p := range t.PosNode[1 : len(t.PosNode)-1] {
+		occ[t.Sym[p]]++
+		s.K = max(s.K, int(occ[t.Sym[p]]))
+	}
+	// alt[n] packs, for the path from UserRoot down to n, the alternation
+	// depth (alt[n]>>2) and the operator of the path's lowest ⊙ or + node
+	// (alt[n]&3: 0 none yet, 1 ⊙, 2 +). A ⊙ or + node adds one to the
+	// depth when its operator differs from that lowest one.
+	alt := make([]int32, t.N())
+	for n := t.UserRoot; n < t.EndPos(); n++ {
+		var up int32
+		if n != t.UserRoot {
+			up = alt[t.Parent[n]]
 		}
+		switch t.Op[n] {
+		case parsetree.OpStar:
+			s.StarFree = false
+		case parsetree.OpCat:
+			if up&3 != 1 {
+				up = (up>>2+1)<<2 | 1
+			}
+		case parsetree.OpUnion:
+			if up&3 != 2 {
+				up = (up>>2+1)<<2 | 2
+			}
+		}
+		alt[n] = up
+		s.AlternationDepth = max(s.AlternationDepth, int(up>>2))
+		s.Depth = max(s.Depth, int(t.Depth[n]))
 	}
 	return s
 }

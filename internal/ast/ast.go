@@ -12,6 +12,16 @@
 // extended with numeric occurrence indicators e{i..j} (paper §3.3) which are
 // handled by package numeric; the core algorithms operate on the plain
 // operator set.
+//
+// Memory layout. The parsers and the rewrites (Normalize, DesugarPlus and
+// Canonical, the one-pass composition the compile pipelines run) allocate
+// their nodes from a chunked arena rather than one heap object per node:
+// a tree of n nodes costs O(log n) allocations, and its nodes live and die
+// together. The parser keeps its own stack of parenthesis levels, so deep
+// nesting costs no goroutine stack. Trees built with the exported
+// constructors (Sym, Cat, …) are ordinary heap trees; every function here
+// accepts both. Alphabet interns names through an open-addressing table,
+// O(log σ) allocations for σ names.
 package ast
 
 import (

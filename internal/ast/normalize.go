@@ -18,56 +18,78 @@ import (
 // after Normalize every remaining KIter node has Min ≥ 1 and Max ≥ 2.
 //
 // Normalize never mutates its argument; it returns a fresh tree (sharing no
-// nodes with the input).
+// nodes with the input) allocated from one arena. Nullability is carried up
+// the recursion, so the rewrite is linear in |e| however deeply ? and
+// iterations nest.
 func Normalize(e *Node) *Node {
+	a := sized(Size(e))
+	n, _ := a.normalize(e, false)
+	return n
+}
+
+// normalize returns the normal form of e and whether ε ∈ L(e); with
+// desugar it also rewrites e{1,∞}, giving Canonical's form.
+func (a *arena) normalize(e *Node, desugar bool) (*Node, bool) {
 	switch e.Kind {
 	case KSym:
-		return Sym(e.Sym)
+		return a.sym(e.Sym), false
 	case KCat:
-		return Cat(Normalize(e.L), Normalize(e.R))
+		l, ln := a.normalize(e.L, desugar)
+		r, rn := a.normalize(e.R, desugar)
+		return a.cat(l, r), ln && rn
 	case KUnion:
-		return Union(Normalize(e.L), Normalize(e.R))
+		l, ln := a.normalize(e.L, desugar)
+		r, rn := a.normalize(e.R, desugar)
+		return a.union(l, r), ln || rn
 	case KOpt:
-		l := Normalize(e.L)
-		if Nullable(l) {
-			return l // (R3)
+		l, null := a.normalize(e.L, desugar)
+		if null {
+			return l, true // (R3)
 		}
-		return Opt(l)
+		return a.opt(l), true
 	case KStar:
-		l := Normalize(e.L)
+		l, _ := a.normalize(e.L, desugar)
 		if l.Kind == KStar {
-			return l // (R2)
+			return l, true // (R2)
 		}
-		return Star(l)
+		return a.star(l), true
 	case KIter:
-		l := Normalize(e.L)
+		l, null := a.normalize(e.L, desugar)
 		min, max := e.Min, e.Max
-		if Nullable(l) && min > 0 {
+		if desugar && !null && min == 1 && max == Unbounded {
+			// l+ survives Normalize only with a non-nullable body; the
+			// desugaring yields l·l*, which a second Normalize leaves
+			// alone (a non-nullable l is no star).
+			return a.cat(l, a.star(a.clone(l))), false
+		}
+		// Every other iteration comes out of Normalize with bounds a
+		// second pass leaves stable, so Canonical treats it likewise.
+		if null && min > 0 {
 			// ε ∈ L(body) makes every lower bound reachable by padding
 			// empty iterations: L(x{i,j}) = L(x{0,j}).
 			min = 0
 		}
 		switch {
 		case min == 1 && max == 1:
-			return l
+			return l, null
 		case min == 0 && max == Unbounded:
 			if l.Kind == KStar {
-				return l
+				return l, true
 			}
-			return Star(l)
+			return a.star(l), true
 		case min == 0 && max == 1:
-			if Nullable(l) {
-				return l
+			if null {
+				return l, true
 			}
-			return Opt(l)
+			return a.opt(l), true
 		case min == 0:
-			inner := Iter(l, 1, max)
-			if Nullable(l) {
-				return inner
+			inner := a.iter(l, 1, max)
+			if null {
+				return inner, true
 			}
-			return Opt(inner)
+			return a.opt(inner), true
 		default:
-			return Iter(l, min, max)
+			return a.iter(l, min, max), false
 		}
 	}
 	panic("ast.Normalize: bad kind")
@@ -78,30 +100,57 @@ func Normalize(e *Node) *Node {
 // the positions of the body, which is exactly the classical desugaring; the
 // Glushkov follow relation — and hence determinism — of the two forms
 // coincide. Other numeric iterations are left untouched (package numeric
-// handles them natively). The input is not mutated.
+// handles them natively). The input is not mutated; the result is a fresh
+// tree allocated from one arena.
 func DesugarPlus(e *Node) *Node {
+	a := sized(Size(e))
+	n, _ := a.desugarPlus(e)
+	return n
+}
+
+// desugarPlus returns the desugared e and whether ε ∈ L(e).
+func (a *arena) desugarPlus(e *Node) (*Node, bool) {
 	switch e.Kind {
 	case KSym:
-		return Sym(e.Sym)
+		return a.sym(e.Sym), false
 	case KCat:
-		return Cat(DesugarPlus(e.L), DesugarPlus(e.R))
+		l, ln := a.desugarPlus(e.L)
+		r, rn := a.desugarPlus(e.R)
+		return a.cat(l, r), ln && rn
 	case KUnion:
-		return Union(DesugarPlus(e.L), DesugarPlus(e.R))
+		l, ln := a.desugarPlus(e.L)
+		r, rn := a.desugarPlus(e.R)
+		return a.union(l, r), ln || rn
 	case KOpt:
-		return Opt(DesugarPlus(e.L))
+		l, _ := a.desugarPlus(e.L)
+		return a.opt(l), true
 	case KStar:
-		return Star(DesugarPlus(e.L))
+		l, _ := a.desugarPlus(e.L)
+		return a.star(l), true
 	case KIter:
-		l := DesugarPlus(e.L)
+		l, null := a.desugarPlus(e.L)
 		if e.Min == 1 && e.Max == Unbounded {
-			if Nullable(l) {
-				return Star(l)
+			if null {
+				return a.star(l), true
 			}
-			return Cat(l, Star(Clone(l)))
+			return a.cat(l, a.star(a.clone(l))), false
 		}
-		return Iter(l, e.Min, e.Max)
+		return a.iter(l, e.Min, e.Max), e.Min == 0 || null
 	}
 	panic("ast.DesugarPlus: bad kind")
+}
+
+// Canonical returns Normalize(DesugarPlus(Normalize(e))), the form every
+// compile pipeline runs on, in one bottom-up pass into one arena. Both
+// rewrites preserve the language, so the nullability Normalize carries up
+// also serves the desugaring and the second pass; per node the
+// composition is Normalize's rewrite plus the e{1,∞} → e·e* step (see
+// normalize). The input is not mutated and shares no nodes with the
+// result.
+func Canonical(e *Node) *Node {
+	a := sized(Size(e))
+	n, _ := a.normalize(e, true)
+	return n
 }
 
 // ErrUnrollTooLarge is returned by Unroll when the expansion would exceed
@@ -213,27 +262,4 @@ func optIfNeeded(e *Node) *Node {
 		return e
 	}
 	return Opt(e)
-}
-
-// ValidatePlain returns an error if e contains operators outside the
-// paper's core grammar (i.e. any remaining numeric iteration).
-func ValidatePlain(e *Node) error {
-	var bad *Node
-	Walk(e, func(n *Node) {
-		if bad == nil && n.Kind == KIter {
-			bad = n
-		}
-	})
-	if bad != nil {
-		return fmt.Errorf("ast: numeric iteration {%d,%s} requires the numeric pipeline (dregex.CompileNumeric) or Unroll",
-			bad.Min, boundString(bad.Max))
-	}
-	return nil
-}
-
-func boundString(max int) string {
-	if max == Unbounded {
-		return "∞"
-	}
-	return fmt.Sprintf("%d", max)
 }

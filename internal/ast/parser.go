@@ -3,6 +3,7 @@ package ast
 import (
 	"fmt"
 	"strconv"
+	"strings"
 	"unicode"
 	"unicode/utf8"
 )
@@ -24,9 +25,11 @@ func (e *ParseError) Error() string {
 //
 //	(ab+b(b?)a)*        (a*ba+bb)*       (a{2,3}+b){2}b
 //
-// Whitespace is ignored. Symbols are interned into alpha.
+// Whitespace is ignored. Symbols are interned into alpha. The nodes of
+// the result come from one arena (see the package comment).
 func ParseMath(input string, alpha *Alphabet) (*Node, error) {
-	p := &parser{input: input, alpha: alpha, math: true}
+	// Juxtaposition makes a concatenation per symbol: up to 2 nodes a byte.
+	p := &parser{input: input, alpha: alpha, math: true, a: sized(2 * len(input))}
 	return p.parseTop()
 }
 
@@ -39,10 +42,21 @@ func ParseMath(input string, alpha *Alphabet) (*Node, error) {
 //
 // Whitespace is ignored. Names are interned into alpha. The one-or-more
 // postfix e+ is represented as the numeric iteration e{1,∞}; Normalize (or
-// DesugarPlus) rewrites it for the plain-operator pipeline.
+// DesugarPlus) rewrites it for the plain-operator pipeline. The nodes of
+// the result come from one arena (see the package comment).
 func ParseDTD(input string, alpha *Alphabet) (*Node, error) {
-	p := &parser{input: input, alpha: alpha, math: false}
+	p := &parser{input: input, alpha: alpha, math: false, a: sized(dtdNodes(input))}
 	return p.parseTop()
+}
+
+// dtdNodes counts the nodes ParseDTD builds from a well-formed input:
+// each ',' or '|' joins two operands, and each postfix operator wraps one.
+// (The ',' of a {m,n} bound makes it an overestimate by two.)
+func dtdNodes(input string) int {
+	ops := strings.Count(input, ",") + strings.Count(input, "|")
+	post := strings.Count(input, "?") + strings.Count(input, "*") +
+		strings.Count(input, "+") + strings.Count(input, "{")
+	return 2*ops + 1 + post
 }
 
 type parser struct {
@@ -50,6 +64,7 @@ type parser struct {
 	pos   int
 	alpha *Alphabet
 	math  bool
+	a     arena
 }
 
 func (p *parser) errf(format string, args ...interface{}) error {
@@ -80,20 +95,94 @@ func (p *parser) advance() rune {
 	return r
 }
 
+// level is one parenthesis level of the parse in progress: the union of
+// the completed alternatives, and the concatenation being extended.
+type level struct {
+	union, cat *Node
+}
+
+// result is the expression the level denotes once its closing
+// parenthesis (or the end of input) is reached.
+func (l *level) result(p *parser) *Node {
+	if l.union == nil {
+		return l.cat
+	}
+	return p.a.union(l.union, l.cat)
+}
+
+// parseTop parses the whole input with an explicit stack of parenthesis
+// levels instead of recursion, so nesting depth costs heap slots, not
+// goroutine stack. The grammar it implements is
+//
+//	union   := cat ('|' cat)*                 (math: '+')
+//	cat     := postfix (',' postfix)*         (math: juxtaposition)
+//	postfix := base ('*' | '?' | '+' | '{m,n}')*   (math: no '+')
+//	base    := name | '(' union ')'
+//
+// with unions and concatenations associating to the left.
 func (p *parser) parseTop() (*Node, error) {
 	p.skipSpace()
 	if p.pos >= len(p.input) {
 		return nil, p.errf("empty expression")
 	}
-	e, err := p.parseUnion()
-	if err != nil {
-		return nil, err
+	levels := make([]level, 1, 16)
+	for {
+		// One operand: open its parentheses, then read the name inside.
+		p.skipSpace()
+		for p.peek() == '(' {
+			p.advance()
+			levels = append(levels, level{})
+			p.skipSpace()
+		}
+		e, err := p.parseName()
+		if err != nil {
+			return nil, err
+		}
+		// Apply postfix operators and separators; each ')' closes a level
+		// whose result is in turn the operand of the enclosing level.
+		for {
+			if e, err = p.parsePostfix(e); err != nil {
+				return nil, err
+			}
+			top := &levels[len(levels)-1]
+			if top.cat == nil {
+				top.cat = e
+			} else {
+				top.cat = p.a.cat(top.cat, e)
+			}
+			p.skipSpace()
+			r := p.peek()
+			if r == p.unionRune() {
+				p.advance()
+				if top.union == nil {
+					top.union = top.cat
+				} else {
+					top.union = p.a.union(top.union, top.cat)
+				}
+				top.cat = nil
+				break
+			}
+			if !p.math && r == ',' {
+				p.advance()
+				break
+			}
+			if p.math && r != 0 && r != ')' && r != '|' {
+				break // juxtaposition: the next operand starts here
+			}
+			e = top.result(p)
+			if len(levels) == 1 {
+				if p.pos < len(p.input) {
+					return nil, p.errf("unexpected %q", p.peek())
+				}
+				return e, nil
+			}
+			if r != ')' {
+				return nil, p.errf("expected ')'")
+			}
+			p.advance()
+			levels = levels[:len(levels)-1]
+		}
 	}
-	p.skipSpace()
-	if p.pos < len(p.input) {
-		return nil, p.errf("unexpected %q", p.peek())
-	}
-	return e, nil
 }
 
 func (p *parser) unionRune() rune {
@@ -103,78 +192,29 @@ func (p *parser) unionRune() rune {
 	return '|'
 }
 
-func (p *parser) parseUnion() (*Node, error) {
-	e, err := p.parseCat()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		p.skipSpace()
-		if p.peek() != p.unionRune() {
-			return e, nil
-		}
-		p.advance()
-		r, err := p.parseCat()
-		if err != nil {
-			return nil, err
-		}
-		e = Union(e, r)
-	}
-}
-
-func (p *parser) parseCat() (*Node, error) {
-	e, err := p.parsePostfix()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		p.skipSpace()
-		if p.math {
-			// Juxtaposition: stop at operators and closers.
-			switch p.peek() {
-			case 0, ')', '+', '|':
-				return e, nil
-			}
-		} else {
-			if p.peek() != ',' {
-				return e, nil
-			}
-			p.advance()
-		}
-		r, err := p.parsePostfix()
-		if err != nil {
-			return nil, err
-		}
-		e = Cat(e, r)
-	}
-}
-
-func (p *parser) parsePostfix() (*Node, error) {
-	e, err := p.parseBase()
-	if err != nil {
-		return nil, err
-	}
+// parsePostfix applies the postfix operators following operand e.
+func (p *parser) parsePostfix(e *Node) (*Node, error) {
 	for {
 		p.skipSpace()
 		switch p.peek() {
 		case '*':
 			p.advance()
-			e = Star(e)
+			e = p.a.star(e)
 		case '?':
 			p.advance()
-			e = Opt(e)
+			e = p.a.opt(e)
 		case '+':
 			if p.math {
 				return e, nil // union operator, handled above
 			}
 			p.advance()
-			e = Iter(e, 1, Unbounded)
+			e = p.a.iter(e, 1, Unbounded)
 		case '{':
 			min, max, err := p.parseBounds()
 			if err != nil {
 				return nil, err
 			}
-			e = Iter(e, min, max)
+			e = p.a.iter(e, min, max)
 		default:
 			return e, nil
 		}
@@ -231,29 +271,21 @@ func (p *parser) parseInt() (int, error) {
 	return n, nil
 }
 
-func (p *parser) parseBase() (*Node, error) {
-	p.skipSpace()
+// parseName reads the symbol an operand starts with (any '(' has been
+// consumed by parseTop).
+func (p *parser) parseName() (*Node, error) {
 	r := p.peek()
 	switch {
 	case r == 0:
 		return nil, p.errf("unexpected end of expression")
-	case r == '(':
-		p.advance()
-		e, err := p.parseUnion()
-		if err != nil {
-			return nil, err
-		}
-		p.skipSpace()
-		if p.peek() != ')' {
-			return nil, p.errf("expected ')'")
-		}
-		p.advance()
-		return e, nil
 	case r == '#' || r == '$':
 		return nil, p.errf("symbol %q is reserved by rule (R1)", r)
 	case p.math && (unicode.IsLetter(r) || unicode.IsDigit(r)):
 		p.advance()
-		return Sym(p.alpha.Intern(string(r))), nil
+		if s, ok := p.alpha.LookupRune(r); ok {
+			return p.a.sym(s), nil // no string conversion for a repeat
+		}
+		return p.a.sym(p.alpha.Intern(string(r))), nil
 	case !p.math && isNameStart(r):
 		start := p.pos
 		p.advance()
@@ -264,7 +296,7 @@ func (p *parser) parseBase() (*Node, error) {
 		if name == "#PCDATA" {
 			return nil, p.errf("#PCDATA is only valid in mixed content (handled by package dtd)")
 		}
-		return Sym(p.alpha.Intern(name)), nil
+		return p.a.sym(p.alpha.Intern(name)), nil
 	default:
 		return nil, p.errf("unexpected %q", r)
 	}

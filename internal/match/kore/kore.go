@@ -29,14 +29,27 @@ type Matcher struct {
 // Next to be meaningful (with duplicates followers, the first in document
 // order wins); determinism is the caller's contract, checked by the public
 // API layer.
+//
+// The occurrence lists are views into one array, filled by a counting sort
+// of the positions by symbol, so construction allocates twice however
+// many symbols the expression has.
 func New(t *parsetree.Tree, fol *follow.Index) *Matcher {
 	m := &Matcher{t: t, fol: fol, occ: make([][]parsetree.NodeID, t.Alpha.Size())}
+	end := make([]int, len(m.occ)+1) // end[a+1]: positions labeled ≤ a
+	for _, p := range t.PosNode {
+		end[t.Sym[p]+1]++
+	}
+	for a := range m.occ {
+		m.K = max(m.K, end[a+1])
+		end[a+1] += end[a]
+	}
+	all := make([]parsetree.NodeID, len(t.PosNode))
+	for a := range m.occ {
+		m.occ[a] = all[end[a]:end[a]:end[a+1]]
+	}
 	for _, p := range t.PosNode {
 		s := t.Sym[p]
 		m.occ[s] = append(m.occ[s], p)
-		if len(m.occ[s]) > m.K {
-			m.K = len(m.occ[s])
-		}
 	}
 	return m
 }

@@ -65,11 +65,11 @@ type Counted struct {
 	noTable bool
 }
 
-// Compile normalizes (ast.Normalize: Min ≥ 1, Max ≥ 2 for every surviving
-// iteration) and preprocesses e, then runs the linear §3.3 determinism
-// test.
+// Compile canonicalizes (ast.Canonical: e+ desugared, Min ≥ 1 and Max ≥ 2
+// for every surviving iteration) and preprocesses e, then runs the linear
+// §3.3 determinism test.
 func Compile(e *ast.Node, alpha *ast.Alphabet) (*Counted, error) {
-	root := ast.Normalize(ast.DesugarPlus(ast.Normalize(e)))
+	root := ast.Canonical(e)
 	tree, err := parsetree.BuildNumeric(root, alpha)
 	if err != nil {
 		return nil, err

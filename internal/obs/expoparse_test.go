@@ -1,8 +1,10 @@
-package obs
+package obs_test
 
 import (
 	"strings"
 	"testing"
+
+	"dregex/internal/obs/obstest"
 )
 
 // TestParseExpositionErrors locks the strict-parser rejections: every
@@ -35,7 +37,7 @@ func TestParseExpositionErrors(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := ParseExposition(strings.NewReader(tc.in))
+			_, err := obstest.ParseExposition(strings.NewReader(tc.in))
 			if err == nil {
 				t.Fatalf("ParseExposition(%q) succeeded, want error containing %q", tc.in, tc.wantErr)
 			}
@@ -50,7 +52,7 @@ func TestParseExpositionErrors(t *testing.T) {
 // of the offending line, counting blank and comment lines.
 func TestParseExpositionErrorLine(t *testing.T) {
 	in := "# TYPE m counter\n\nm 1\nm bad\n"
-	_, err := ParseExposition(strings.NewReader(in))
+	_, err := obstest.ParseExposition(strings.NewReader(in))
 	if err == nil || !strings.Contains(err.Error(), "line 4:") {
 		t.Fatalf("want error on line 4, got %v", err)
 	}
@@ -102,7 +104,7 @@ func TestCheckHistogramsErrors(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			e, err := ParseExposition(strings.NewReader(tc.in))
+			e, err := obstest.ParseExposition(strings.NewReader(tc.in))
 			if err != nil {
 				t.Fatalf("ParseExposition: %v", err)
 			}
@@ -121,7 +123,7 @@ func TestCheckHistogramsLabelledSeries(t *testing.T) {
 		"h_bucket{op=\"a\",le=\"1\"} 9\nh_bucket{op=\"a\",le=\"+Inf\"} 9\n" +
 		"h_bucket{op=\"b\",le=\"1\"} 2\nh_bucket{op=\"b\",le=\"+Inf\"} 4\n" +
 		"h_count{op=\"a\"} 9\nh_count{op=\"b\"} 4\n"
-	e, err := ParseExposition(strings.NewReader(in))
+	e, err := obstest.ParseExposition(strings.NewReader(in))
 	if err != nil {
 		t.Fatalf("ParseExposition: %v", err)
 	}

@@ -1,7 +1,9 @@
-// A strict parser for the Prometheus text exposition format, used by the
-// tests that verify /metrics output (format validity, bucket monotonicity,
-// count/+Inf agreement) — the consumer side of expo.go's encoder.
-package obs
+// Package obstest is a strict parser for the Prometheus text exposition
+// format, used by the tests that verify /metrics output (format validity,
+// bucket monotonicity, count/+Inf agreement) — the consumer side of the
+// obs encoder (obs.Registry.WritePrometheus). Only tests import it, so it
+// ships in no binary.
+package obstest
 
 import (
 	"bufio"
@@ -11,6 +13,8 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
+
+	"dregex/internal/obs"
 )
 
 // Sample is one parsed exposition line: a metric name, its label set, and
@@ -30,7 +34,7 @@ type Exposition struct {
 
 // Get returns the sample for name with exactly the given labels
 // (name=value pairs, order-insensitive); ok reports whether it exists.
-func (e *Exposition) Get(name string, labels ...Label) (float64, bool) {
+func (e *Exposition) Get(name string, labels ...obs.Label) (float64, bool) {
 	want := map[string]string{}
 	for _, l := range labels {
 		want[l.Name] = l.Value

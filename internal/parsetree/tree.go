@@ -114,20 +114,18 @@ var ErrIterUnsupported = errors.New("parsetree: numeric iteration requires Build
 // already be in (R2)/(R3) normal form (ast.Normalize); Build wraps it per
 // (R1) and rejects numeric iterations.
 func Build(e *ast.Node, alpha *ast.Alphabet) (*Tree, error) {
-	if err := ast.ValidatePlain(e); err != nil {
-		return nil, ErrIterUnsupported
-	}
-	return build(e, alpha)
+	return build(e, alpha, true)
 }
 
 // BuildNumeric compiles an expression that may contain numeric occurrence
 // indicators e{i,j} (paper §3.3). Bounds should be in normal form
 // (Min ≥ 1, Max ≥ 2; see ast.Normalize).
 func BuildNumeric(e *ast.Node, alpha *ast.Alphabet) (*Tree, error) {
-	return build(e, alpha)
+	return build(e, alpha, false)
 }
 
-func build(e *ast.Node, alpha *ast.Alphabet) (*Tree, error) {
+// build compiles e; plain rejects numeric iterations (ErrIterUnsupported).
+func build(e *ast.Node, alpha *ast.Alphabet, plain bool) (*Tree, error) {
 	if e == nil {
 		return nil, errors.New("parsetree: nil expression")
 	}
@@ -164,6 +162,7 @@ func build(e *ast.Node, alpha *ast.Alphabet) (*Tree, error) {
 	stack = append(stack, frame{wrapped, Null})
 	next := NodeID(0)
 	post := int32(0)
+	leaves := 0
 	// postStack tracks nodes whose subtrees are being emitted so we can
 	// assign postorder numbers; we instead compute Post in a second pass
 	// below, which is simpler with an explicit preorder stack.
@@ -190,6 +189,7 @@ func build(e *ast.Node, alpha *ast.Alphabet) (*Tree, error) {
 		case ast.KSym:
 			t.Op[id] = OpSym
 			t.Sym[id] = a.Sym
+			leaves++
 		case ast.KCat:
 			t.Op[id] = OpCat
 		case ast.KUnion:
@@ -199,6 +199,9 @@ func build(e *ast.Node, alpha *ast.Alphabet) (*Tree, error) {
 		case ast.KStar:
 			t.Op[id] = OpStar
 		case ast.KIter:
+			if plain {
+				return nil, ErrIterUnsupported
+			}
 			t.Op[id] = OpIter
 			t.Min[id] = int32(a.Min)
 			if a.Max == ast.Unbounded {
@@ -228,7 +231,7 @@ func build(e *ast.Node, alpha *ast.Alphabet) (*Tree, error) {
 
 	// Postorder numbers, nullability and positions in one iterative
 	// post-order pass.
-	t.PosNode = t.PosNode[:0]
+	t.PosNode = make([]NodeID, 0, leaves)
 	type pf struct {
 		id       NodeID
 		expanded bool

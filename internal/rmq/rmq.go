@@ -74,12 +74,15 @@ func (s *Sparse) MinIndex(i, j int) int {
 // table over the block minima.
 type PM1 struct {
 	data   []int32
-	block  int      // block length
-	shape  []int32  // normalized shape id per block
-	starts []int32  // block start offsets (redundant, = i*block, kept for clarity)
-	mins   *Sparse  // sparse table over per-block minima
-	minIdx []int32  // index (absolute) of each block's minimum
-	inner  [][]int8 // inner[shape][l*block+r] = offset of min of positions [l,r] within block
+	block  int     // block length
+	shape  []int32 // normalized shape id per block
+	starts []int32 // block start offsets (redundant, = i*block, kept for clarity)
+	mins   *Sparse // sparse table over per-block minima
+	minIdx []int32 // index (absolute) of each block's minimum
+	// inner[shape*block² + l*block + r] is the offset of the min of
+	// positions [l,r] within a block of that shape; one flat table, so the
+	// preprocessing allocates O(1) slices however many shapes occur.
+	inner []int8
 }
 
 // NewPM1 builds the ±1 RMQ structure. Adjacent elements of data must differ
@@ -106,7 +109,10 @@ func NewPM1(data []int32) *PM1 {
 	p.minIdx = make([]int32, numBlocks)
 	p.shape = make([]int32, numBlocks)
 	shapes := 1 << (b - 1)
-	p.inner = make([][]int8, shapes)
+	bb := b * b
+	p.inner = make([]int8, shapes*bb)
+	built := make([]bool, shapes)
+	vals := make([]int32, b)
 	for bi := 0; bi < numBlocks; bi++ {
 		lo := bi * b
 		hi := lo + b
@@ -124,11 +130,13 @@ func NewPM1(data []int32) *PM1 {
 			}
 		}
 		p.shape[bi] = shape
-		if p.inner[shape] == nil {
-			p.inner[shape] = buildInner(shape, b)
+		tbl := p.inner[int(shape)*bb : int(shape+1)*bb]
+		if !built[shape] {
+			buildInner(tbl, vals, shape, b)
+			built[shape] = true
 		}
 		// Block minimum via the inner table on the real extent.
-		off := p.inner[shape][0*b+(hi-lo-1)]
+		off := tbl[0*b+(hi-lo-1)]
 		idx := lo + int(off)
 		p.minIdx[bi] = int32(idx)
 		blockMins[bi] = data[idx]
@@ -138,10 +146,9 @@ func NewPM1(data []int32) *PM1 {
 }
 
 // buildInner precomputes, for a block shape, the offset of the minimum for
-// every in-block subrange [l, r], using prefix sums of the ±1 steps.
-func buildInner(shape int32, b int) []int8 {
-	tbl := make([]int8, b*b)
-	vals := make([]int32, b)
+// every in-block subrange [l, r], using prefix sums of the ±1 steps, into
+// tbl (b² entries); vals is b entries of scratch.
+func buildInner(tbl []int8, vals []int32, shape int32, b int) {
 	for k := 1; k < b; k++ {
 		if shape&(1<<(k-1)) != 0 {
 			vals[k] = vals[k-1] + 1
@@ -158,8 +165,10 @@ func buildInner(shape int32, b int) []int8 {
 			tbl[l*b+r] = int8(best)
 		}
 	}
-	return tbl
 }
+
+// innerBase returns the offset of block bi's shape table in inner.
+func (p *PM1) innerBase(bi int) int { return int(p.shape[bi]) * p.block * p.block }
 
 // MinIndex returns the index of the minimum of data[i:j] (leftmost on
 // ties). It panics if the range is empty or out of bounds.
@@ -171,18 +180,18 @@ func (p *PM1) MinIndex(i, j int) int {
 	b := p.block
 	bi, bj := i/b, j/b
 	if bi == bj {
-		off := p.inner[p.shape[bi]][(i-bi*b)*b+(j-bi*b)]
+		off := p.inner[p.innerBase(bi)+(i-bi*b)*b+(j-bi*b)]
 		return bi*b + int(off)
 	}
 	// Prefix of bi, suffix of bj, and whole blocks in between.
-	offL := p.inner[p.shape[bi]][(i-bi*b)*b+(b-1)]
+	offL := p.inner[p.innerBase(bi)+(i-bi*b)*b+(b-1)]
 	lastL := bi*b + b - 1
 	if lastL > len(p.data)-1 {
 		// Cannot happen: bi < bj implies block bi is complete.
 		lastL = len(p.data) - 1
 	}
 	best := bi*b + int(offL)
-	offR := p.inner[p.shape[bj]][0*b+(j-bj*b)]
+	offR := p.inner[p.innerBase(bj)+0*b+(j-bj*b)]
 	cand := bj*b + int(offR)
 	if p.data[cand] < p.data[best] {
 		best = cand

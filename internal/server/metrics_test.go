@@ -13,10 +13,11 @@ import (
 
 	"dregex/client"
 	"dregex/internal/obs"
+	"dregex/internal/obs/obstest"
 )
 
 // scrapeMetrics fetches and strictly parses GET /metrics.
-func scrapeMetrics(t *testing.T, hs *httptest.Server) *obs.Exposition {
+func scrapeMetrics(t *testing.T, hs *httptest.Server) *obstest.Exposition {
 	t.Helper()
 	resp, err := hs.Client().Get(hs.URL + "/metrics")
 	if err != nil {
@@ -31,7 +32,7 @@ func scrapeMetrics(t *testing.T, hs *httptest.Server) *obs.Exposition {
 	}
 	var buf bytes.Buffer
 	buf.ReadFrom(resp.Body)
-	exp, err := obs.ParseExposition(&buf)
+	exp, err := obstest.ParseExposition(&buf)
 	if err != nil {
 		t.Fatalf("ParseExposition: %v", err)
 	}
@@ -262,7 +263,7 @@ func TestMetricsConcurrent(t *testing.T) {
 				errc <- err
 				continue
 			}
-			exp, err := obs.ParseExposition(resp.Body)
+			exp, err := obstest.ParseExposition(resp.Body)
 			resp.Body.Close()
 			if err != nil {
 				errc <- fmt.Errorf("scrape %d: %w", i, err)

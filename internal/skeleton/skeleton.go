@@ -16,6 +16,15 @@
 // proves the expression nondeterministic and is reported with a witness
 // pair. The total size of all skeleta and the total construction time are
 // O(|e|) (Lemma 3.1, Lemma 3.2).
+//
+// Layout. Construction works on one flat array of (symbol, node) entries
+// sorted by symbol, then node, with per-symbol offsets — the layout of
+// Skeletons.Start. Each sorting round (base sets, LCA closure, the
+// pSupLast/pStar extension) is two stable counting sorts over that array:
+// by node, where duplicate entries merge their witnesses in node order
+// (so the first violation reported is independent of the layout), then by
+// symbol. The rounds share their scratch arrays and the tree pass shares
+// one stack across symbols, so a build costs O(log |e|) allocations.
 package skeleton
 
 import (
@@ -165,103 +174,123 @@ type entry struct {
 	wit  parsetree.NodeID // Null unless this entry colors node with sym
 }
 
+// builder holds the construction's working set: every skeleton's members
+// in one flat array sorted by (symbol, node), with per-symbol offsets —
+// the layout of Skeletons.Start — and the scratch the sorting rounds
+// reuse.
+type builder struct {
+	s    *Skeletons
+	ents []entry // members sorted by (symbol, node); candidates appended after
+	tmp  []entry // sort scratch
+	off  []int32 // len sigma+1: symbol a's members are ents[off[a]:off[a+1]]
+	cnt  []int32 // counting-sort counters, len max(n, sigma)+1
+	last []int32 // per symbol: index in tmp of its entry at the current node
+}
+
+// seg returns the sorted members of symbol sym.
+func (b *builder) seg(sym int) []entry { return b.ents[b.off[sym]:b.off[sym+1]] }
+
 // construct materializes all skeleta: base sets, LCA closure, the
 // pSupLast/pStar extension, and the tree structure.
 func (s *Skeletons) construct() {
 	t := s.T
 	sigma := t.Alpha.Size()
+	b := &builder{
+		s:    s,
+		ents: make([]entry, 0, 2*t.NumPositions()),
+		off:  make([]int32, sigma+1),
+		cnt:  make([]int32, max(t.N(), sigma)+1),
+		last: make([]int32, sigma),
+	}
 
 	// Base entries: every position, plus a colored entry per position of
 	// e′ (and $); # has no pSupFirst and contributes no color.
-	entries := make([]entry, 0, 2*t.NumPositions())
 	for _, p := range t.PosNode {
-		entries = append(entries, entry{t.Sym[p], p, parsetree.Null})
+		b.ents = append(b.ents, entry{t.Sym[p], p, parsetree.Null})
 		if psf := t.PSupFirst[p]; psf != parsetree.Null {
-			entries = append(entries, entry{t.Sym[p], t.Parent[psf], p})
+			b.ents = append(b.ents, entry{t.Sym[p], t.Parent[psf], p})
 		}
 	}
 
 	// 1. Sort the base sets and close them under LCA: the class-a nodes.
-	perSym := s.sortEntries(entries, sigma)
-	if s.NonDet != nil {
-		return
-	}
-	perSym = s.lcaClose(perSym, sigma)
-	if s.NonDet != nil {
+	if !b.sort() || !b.lcaClose() {
 		return
 	}
 
 	// 2. Extend with the pSupLast and pStar nodes of the class-a nodes —
-	// applied once, exactly as in the paper's skeleton definition.
-	var extra []entry
+	// applied once, exactly as in the paper's skeleton definition. Members
+	// of one skeleton often share these ancestors; added[x] = a+1 marks x
+	// as already added for symbol a, so each is appended once.
+	members := len(b.ents)
+	added := b.cnt[:t.N()]
+	clear(added)
+	extend := func(sym int, list []entry, x parsetree.NodeID) {
+		if x != parsetree.Null && added[x] != int32(sym)+1 && !containsNode(list, x) {
+			added[x] = int32(sym) + 1
+			b.ents = append(b.ents, entry{ast.Symbol(sym), x, parsetree.Null})
+		}
+	}
 	for sym := 0; sym < sigma; sym++ {
-		list := perSym[sym]
+		list := b.seg(sym)
 		for i := range list {
 			node := list[i].node
-			if psl := t.PSupLast[node]; psl != parsetree.Null && !containsNode(list, psl) {
-				extra = append(extra, entry{ast.Symbol(sym), psl, parsetree.Null})
-			}
-			ps := t.PStar[node]
+			extend(sym, list, t.PSupLast[node])
 			if s.opt.NumericLoops {
-				ps = t.PLoop[node] // iterations loop too (§3.3)
-			}
-			if ps != parsetree.Null && !containsNode(list, ps) {
-				extra = append(extra, entry{ast.Symbol(sym), ps, parsetree.Null})
+				extend(sym, list, t.PLoop[node]) // iterations loop too (§3.3)
+			} else {
+				extend(sym, list, t.PStar[node])
 			}
 		}
 	}
-	if len(extra) > 0 {
-		for sym := range perSym {
-			extra = append(extra, perSym[sym]...)
-		}
-		perSym = s.sortEntries(extra, sigma)
-		if s.NonDet != nil {
-			return
-		}
+	if len(b.ents) > members {
 		// The extension adds only ancestors of existing members, so the
 		// set should stay LCA-closed; lcaClose verifies and repairs if
 		// needed.
-		perSym = s.lcaClose(perSym, sigma)
-		if s.NonDet != nil {
+		if !b.sort() || !b.lcaClose() {
 			return
 		}
 	}
+	b.flatten()
+}
 
-	// Flatten into the arrays and build each skeleton's tree with the
-	// classical rightmost-path stack over the preorder-sorted node list.
-	s.Start = make([]int32, sigma+1)
-	total := 0
-	for sym := 0; sym < sigma; sym++ {
-		s.Start[sym] = int32(total)
-		total += len(perSym[sym])
-	}
-	s.Start[sigma] = int32(total)
-	s.ENode = make([]parsetree.NodeID, total)
-	s.Par = make([]int32, total)
-	s.Lch = make([]int32, total)
-	s.Rch = make([]int32, total)
-	s.Wit = make([]parsetree.NodeID, total)
-	s.First = make([]parsetree.NodeID, total)
-	s.Next = make([]parsetree.NodeID, total)
-	for i := range s.Par {
+// flatten copies the sorted members into the Skeletons arrays and builds
+// each skeleton's tree with the classical rightmost-path stack over its
+// preorder-sorted node list; one stack serves every symbol.
+func (b *builder) flatten() {
+	s, t := b.s, b.s.T
+	total := len(b.ents)
+	s.Start = b.off
+	// One allocation backs the seven per-member arrays.
+	arr := make([]int32, 7*total)
+	s.ENode, arr = arr[:total:total], arr[total:]
+	s.Par, arr = arr[:total:total], arr[total:]
+	s.Lch, arr = arr[:total:total], arr[total:]
+	s.Rch, arr = arr[:total:total], arr[total:]
+	s.Wit, arr = arr[:total:total], arr[total:]
+	s.First, arr = arr[:total:total], arr[total:]
+	s.Next = arr[:total:total]
+	colored := 0
+	for i, e := range b.ents {
+		s.ENode[i], s.Wit[i] = e.node, e.wit
 		s.Par[i], s.Lch[i], s.Rch[i] = -1, -1, -1
-		s.Wit[i], s.First[i], s.Next[i] = parsetree.Null, parsetree.Null, parsetree.Null
+		s.First[i], s.Next[i] = parsetree.Null, parsetree.Null
+		if e.wit != parsetree.Null {
+			colored++
+		}
 	}
-	for sym := 0; sym < sigma; sym++ {
-		base := int(s.Start[sym])
-		list := perSym[sym]
-		var stack []int32
-		for i := range list {
-			idx := int32(base + i)
-			s.ENode[idx] = list[i].node
-			s.Wit[idx] = list[i].wit
-			if list[i].wit != parsetree.Null {
+	s.ColoredNodes = make([]Colored, 0, colored)
+	var stack []int32
+	for sym := 0; sym < len(s.Start)-1; sym++ {
+		stack = stack[:0]
+		for idx := s.Start[sym]; idx < s.Start[sym+1]; idx++ {
+			node := s.ENode[idx]
+			if s.Wit[idx] != parsetree.Null {
 				s.ColoredNodes = append(s.ColoredNodes, Colored{
-					Sym: ast.Symbol(sym), Node: list[i].node, Sk: idx,
+					Sym: ast.Symbol(sym), Node: node, Sk: idx,
 				})
 			}
 			// Pop the rightmost path down to the nearest ancestor.
-			for len(stack) > 0 && !t.IsAncestor(s.ENode[stack[len(stack)-1]], list[i].node) {
+			for len(stack) > 0 && !t.IsAncestor(s.ENode[stack[len(stack)-1]], node) {
 				stack = stack[:len(stack)-1]
 			}
 			if len(stack) > 0 {
@@ -294,72 +323,101 @@ func (s *Skeletons) attach(p, c int32) {
 // lcaClose inserts the LCAs of preorder-consecutive members until the sets
 // are LCA-closed. One insertion pass suffices for a preorder-sorted list
 // (the classical virtual-tree fact); the loop re-verifies after resorting.
-func (s *Skeletons) lcaClose(perSym [][]entry, sigma int) [][]entry {
+// It reports false when sorting found a violation.
+func (b *builder) lcaClose() bool {
+	lca := b.s.Fol.LCA
 	for round := 0; ; round++ {
 		if round > 8 {
 			panic("skeleton: LCA closure did not stabilize")
 		}
-		var extra []entry
-		for sym := 0; sym < sigma; sym++ {
-			list := perSym[sym]
+		members := len(b.ents)
+		for sym := 0; sym+1 < len(b.off); sym++ {
+			list := b.seg(sym)
 			for i := 1; i < len(list); i++ {
-				l := s.Fol.LCA.Query(list[i-1].node, list[i].node)
+				l := lca.Query(list[i-1].node, list[i].node)
 				if !containsNode(list, l) {
-					extra = append(extra, entry{ast.Symbol(sym), l, parsetree.Null})
+					b.ents = append(b.ents, entry{ast.Symbol(sym), l, parsetree.Null})
 				}
 			}
 		}
-		if len(extra) == 0 {
-			return perSym
+		if len(b.ents) == members {
+			return true
 		}
-		for sym := range perSym {
-			extra = append(extra, perSym[sym]...)
-		}
-		perSym = s.sortEntries(extra, sigma)
-		if s.NonDet != nil {
-			return perSym
+		if !b.sort() {
+			return false
 		}
 	}
 }
 
-// sortEntries counting-sorts entries by node id and regroups them per
-// symbol, deduplicating nodes and merging witnesses. A node acquiring two
-// witnesses for one symbol would contradict (P1), which was checked first.
-func (s *Skeletons) sortEntries(entries []entry, sigma int) [][]entry {
-	t := s.T
+// sort orders b.ents by (symbol, node), deduplicating (symbol, node)
+// pairs and merging their witnesses, and recomputes b.off. Two stable
+// counting sorts do it: by node into tmp, where duplicates are merged in
+// node order, then by symbol back into ents. A node acquiring two
+// witnesses for one symbol would contradict (P1), which was checked first;
+// it is reported (and sort returns false) for the first such node in node
+// order.
+func (b *builder) sort() bool {
+	t := b.s.T
 	n := t.N()
-	counts := make([]int32, n+1)
-	for _, e := range entries {
-		counts[e.node]++
+	if cap(b.tmp) < len(b.ents) {
+		b.tmp = make([]entry, len(b.ents), cap(b.ents))
 	}
-	var acc int32
-	offs := make([]int32, n+1)
-	for i := 0; i <= n; i++ {
-		offs[i] = acc
-		acc += counts[i]
+	tmp := b.tmp[:len(b.ents)]
+
+	cnt := b.cnt[:n+1]
+	clear(cnt)
+	for _, e := range b.ents {
+		cnt[e.node+1]++
 	}
-	sorted := make([]entry, len(entries))
-	for _, e := range entries {
-		sorted[offs[e.node]] = e
-		offs[e.node]++
+	for i := 1; i <= n; i++ {
+		cnt[i] += cnt[i-1]
 	}
-	perSym := make([][]entry, sigma)
-	for _, e := range sorted {
-		list := perSym[e.sym]
-		if len(list) > 0 && list[len(list)-1].node == e.node {
-			last := &list[len(list)-1]
+	for _, e := range b.ents {
+		tmp[cnt[e.node]] = e
+		cnt[e.node]++
+	}
+
+	// Merge duplicates in node order: last[sym] indexes sym's entry at
+	// the node being scanned (entries of one node are contiguous).
+	for i := range b.last {
+		b.last[i] = -1
+	}
+	k := 0
+	for _, e := range tmp {
+		if j := b.last[e.sym]; j >= 0 && tmp[j].node == e.node {
+			kept := &tmp[j]
 			if e.wit != parsetree.Null {
-				if last.wit != parsetree.Null && last.wit != e.wit {
-					s.NonDet = &Violation{Rule: "P1", Q1: last.wit, Q2: e.wit}
-					return perSym
+				if kept.wit != parsetree.Null && kept.wit != e.wit {
+					b.s.NonDet = &Violation{Rule: "P1", Q1: kept.wit, Q2: e.wit}
+					return false
 				}
-				last.wit = e.wit
+				kept.wit = e.wit
 			}
 			continue
 		}
-		perSym[e.sym] = append(list, e)
+		b.last[e.sym] = int32(k)
+		tmp[k] = e
+		k++
 	}
-	return perSym
+	tmp = tmp[:k]
+
+	sigma := len(b.off) - 1
+	off := b.off
+	clear(off)
+	for _, e := range tmp {
+		off[e.sym+1]++
+	}
+	for i := 1; i <= sigma; i++ {
+		off[i] += off[i-1]
+	}
+	b.ents = b.ents[:k]
+	cnt = b.cnt[:sigma]
+	copy(cnt, off[:sigma])
+	for _, e := range tmp {
+		b.ents[cnt[e.sym]] = e
+		cnt[e.sym]++
+	}
+	return true
 }
 
 func containsNode(list []entry, n parsetree.NodeID) bool {
@@ -430,92 +488,91 @@ func (s *Skeletons) symOf(i int32) ast.Symbol {
 // distinct candidate, or a Next set with two elements (condition (P2)
 // violated), proves nondeterminism.
 func (s *Skeletons) buildNext(opt Options) {
+	// Skeleton roots are walked from the last index down, each tree to
+	// completion before the next root, so the stack holds one tree's
+	// frontier at a time. (This is the order of pushing every root first
+	// and popping, so the first violation found is the same.)
 	t := s.T
-	type item struct {
-		idx int32
-		y   ySet
-	}
 	var stack []item
-	for sym := 0; sym < len(s.Start)-1; sym++ {
-		for i := s.Start[sym]; i < s.Start[sym+1]; i++ {
-			if s.Par[i] == -1 {
-				stack = append(stack, item{i, ySet{}})
-			}
+	for root := int32(len(s.ENode)) - 1; root >= 0; root-- {
+		if s.Par[root] != -1 {
+			continue
 		}
-	}
-	for len(stack) > 0 {
-		it := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		i := it.idx
-		y := it.y
-		node := s.ENode[i]
-		par := s.Par[i]
+		stack = append(stack[:0], item{root, ySet{}})
+		for len(stack) > 0 {
+			it := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			i := it.idx
+			y := it.y
+			node := s.ENode[i]
+			par := s.Par[i]
 
-		// Line 1-2, strengthened: a SupLast node anywhere on the edge
-		// from the skeleton parent down to n (inclusive) cuts everything
-		// arriving from above. The paper's skeleton only materializes the
-		// pSupLast nodes of class-a members, so a barrier can sit between
-		// two skeleton nodes without being one itself; the reflexive
-		// pSupLast pointer detects it in O(1). (With the reset at n only,
-		// Next could retain candidates outside FollowAfter(n), breaking
-		// Lemma 3.2 at uncolored nodes — see skeleton_test.go.)
-		if psl := t.PSupLast[node]; psl != parsetree.Null {
-			if par == -1 || !t.IsAncestor(psl, s.ENode[par]) {
-				y = ySet{}
-			}
-		}
-		// Lines 3-6: pick up the FirstPos of a right sibling in t_a. The
-		// candidate is genuine iff Last(n) survives to the left child of
-		// the ⊙ ancestor and the sibling's FirstPos survives to its right
-		// child — both are Lemma 2.3 pointer checks, which strengthen the
-		// printed (¬SupLast(n) ∨ parent_ta(n)=parent_e(n)) test to the
-		// one-step skeleton.
-		if par != -1 && t.Op[s.ENode[par]] == parsetree.OpCat &&
-			s.Lch[par] == i && s.Rch[par] != -1 &&
-			t.IsAncestor(t.PSupLast[node], t.LChild[s.ENode[par]]) {
-			if f := s.First[s.Rch[par]]; f != parsetree.Null &&
-				t.IsAncestor(t.PSupFirst[f], t.RChild[s.ENode[par]]) {
-				if !y.add(f) {
-					s.reportYOverflow(y, f)
-					return
+			// Line 1-2, strengthened: a SupLast node anywhere on the edge
+			// from the skeleton parent down to n (inclusive) cuts everything
+			// arriving from above. The paper's skeleton only materializes the
+			// pSupLast nodes of class-a members, so a barrier can sit between
+			// two skeleton nodes without being one itself; the reflexive
+			// pSupLast pointer detects it in O(1). (With the reset at n only,
+			// Next could retain candidates outside FollowAfter(n), breaking
+			// Lemma 3.2 at uncolored nodes — see skeleton_test.go.)
+			if psl := t.PSupLast[node]; psl != parsetree.Null {
+				if par == -1 || !t.IsAncestor(psl, s.ENode[par]) {
+					y = ySet{}
 				}
 			}
-		}
-		// Line 7: Next(n,a) = {p ∈ Y | n not an ancestor of p}.
-		var next [2]parsetree.NodeID
-		cnt := 0
-		for k := 0; k < y.n; k++ {
-			if !t.IsAncestor(node, y.v[k]) {
-				if cnt < 2 {
-					next[cnt] = y.v[k]
-				}
-				cnt++
-			}
-		}
-		if cnt > 1 {
-			s.NonDet = &Violation{Rule: "P2", Q1: next[0], Q2: next[1]}
-			return
-		}
-		if cnt == 1 {
-			s.Next[i] = next[0]
-		}
-		// Lines 8-9: a loop node feeds its own FirstPos downwards.
-		isLoop := t.Op[node] == parsetree.OpStar ||
-			(opt.NumericLoops && t.Op[node] == parsetree.OpIter && t.Max[node] >= 2)
-		if isLoop {
-			if f := s.First[i]; f != parsetree.Null {
-				if !y.add(f) {
-					s.reportYOverflow(y, f)
-					return
+			// Lines 3-6: pick up the FirstPos of a right sibling in t_a. The
+			// candidate is genuine iff Last(n) survives to the left child of
+			// the ⊙ ancestor and the sibling's FirstPos survives to its right
+			// child — both are Lemma 2.3 pointer checks, which strengthen the
+			// printed (¬SupLast(n) ∨ parent_ta(n)=parent_e(n)) test to the
+			// one-step skeleton.
+			if par != -1 && t.Op[s.ENode[par]] == parsetree.OpCat &&
+				s.Lch[par] == i && s.Rch[par] != -1 &&
+				t.IsAncestor(t.PSupLast[node], t.LChild[s.ENode[par]]) {
+				if f := s.First[s.Rch[par]]; f != parsetree.Null &&
+					t.IsAncestor(t.PSupFirst[f], t.RChild[s.ENode[par]]) {
+					if !y.add(f) {
+						s.reportYOverflow(y, f)
+						return
+					}
 				}
 			}
-		}
-		// Lines 12-17: recurse.
-		if c := s.Lch[i]; c != -1 {
-			stack = append(stack, item{c, y})
-		}
-		if c := s.Rch[i]; c != -1 {
-			stack = append(stack, item{c, y})
+			// Line 7: Next(n,a) = {p ∈ Y | n not an ancestor of p}.
+			var next [2]parsetree.NodeID
+			cnt := 0
+			for k := 0; k < y.n; k++ {
+				if !t.IsAncestor(node, y.v[k]) {
+					if cnt < 2 {
+						next[cnt] = y.v[k]
+					}
+					cnt++
+				}
+			}
+			if cnt > 1 {
+				s.NonDet = &Violation{Rule: "P2", Q1: next[0], Q2: next[1]}
+				return
+			}
+			if cnt == 1 {
+				s.Next[i] = next[0]
+			}
+			// Lines 8-9: a loop node feeds its own FirstPos downwards.
+			isLoop := t.Op[node] == parsetree.OpStar ||
+				(opt.NumericLoops && t.Op[node] == parsetree.OpIter && t.Max[node] >= 2)
+			if isLoop {
+				if f := s.First[i]; f != parsetree.Null {
+					if !y.add(f) {
+						s.reportYOverflow(y, f)
+						return
+					}
+				}
+			}
+			// Lines 12-17: recurse.
+			if c := s.Lch[i]; c != -1 {
+				stack = append(stack, item{c, y})
+			}
+			if c := s.Rch[i]; c != -1 {
+				stack = append(stack, item{c, y})
+			}
 		}
 	}
 }
@@ -525,6 +582,13 @@ func (s *Skeletons) reportYOverflow(y ySet, extra parsetree.NodeID) {
 	// pair (and the rejected extra) witnesses |Y| > 2.
 	_ = extra
 	s.NonDet = &Violation{Rule: "Y-overflow", Q1: y.v[0], Q2: y.v[1]}
+}
+
+// item is a skeleton node awaiting Algorithm 1, with the candidate set
+// arriving from above.
+type item struct {
+	idx int32
+	y   ySet
 }
 
 // ySet is the bounded candidate set Y of Algorithm 1: at most two distinct
