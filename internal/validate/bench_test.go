@@ -24,10 +24,11 @@ type corpusShape struct {
 // allocation by the runtime itself must round to nothing per iteration.
 const shapeChildren = 200
 
-// corpusShapes builds the two shapes of the repository benchmark's corpus
-// run in miniature: a DTD document under a 2000-way choice (a large
-// element vocabulary over a simple model, where resolving names costs
-// more than stepping) and a schema document under {m,n} counters.
+// corpusShapes builds the shapes of the repository benchmark's corpus run
+// in miniature: a DTD document under a 2000-way choice (a large element
+// vocabulary over a simple model, where resolving names costs more than
+// stepping), the same document with the corpus's text in its leaves, and
+// a schema document under {m,n} counters.
 func corpusShapes(tb testing.TB) []corpusShape {
 	tb.Helper()
 	const width = 2000
@@ -53,6 +54,26 @@ func corpusShapes(tb testing.TB) []corpusShape {
 		tb.Fatal(err)
 	}
 	shapes := []corpusShape{{"dtd", d.Model(), []byte(doc.String()), shapeChildren}}
+
+	// The corpus's leaves hold 1–4 words; a quarter of them hold "&amp;".
+	words := []string{"alpha", "beta", "gamma", "delta", "lorem", "ipsum", "dolor", "sit", "amet"}
+	doc.Reset()
+	doc.WriteString("<wide>\n")
+	for i := 0; i < shapeChildren; i++ {
+		name := fmt.Sprintf("t%d", 1+i*7919%width)
+		doc.WriteString("<" + name + ">")
+		for j := i % 4; j > 0; j-- {
+			doc.WriteString(words[(i+j)%len(words)] + " ")
+		}
+		if i%4 == 1 {
+			doc.WriteString("x &amp; y")
+		} else {
+			doc.WriteString(words[i%len(words)])
+		}
+		doc.WriteString("</" + name + ">\n")
+	}
+	doc.WriteString("</wide>")
+	shapes = append(shapes, corpusShape{"dtd-text", d.Model(), []byte(doc.String()), shapeChildren})
 
 	s, err := xsd.Parse([]byte(`<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">
   <xs:element name="doc"><xs:complexType><xs:sequence>

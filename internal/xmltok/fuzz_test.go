@@ -5,6 +5,7 @@ import (
 	"encoding/xml"
 	"fmt"
 	"io"
+	"strings"
 	"testing"
 )
 
@@ -88,32 +89,65 @@ func ourTokens(tok *Tokenizer, data []byte) (toks []string, err error) {
 	}
 }
 
-// FuzzXMLTok is the differential agreement gate: on any input that
+// skeleton renders the kind, offset, depth and name of each token and the
+// first error (message and position) of data. read selects whether Text
+// and AttrValue are called on every token in between: resolution is on
+// demand, and whether it runs must not change what the scan reports.
+func skeleton(tok *Tokenizer, data []byte, read bool) string {
+	var b strings.Builder
+	tok.Reset(data)
+	tok.SetEntities(goldenEntities)
+	for {
+		k, err := tok.Next()
+		if se, ok := err.(*SyntaxError); ok {
+			fmt.Fprintf(&b, "%v @%d", se, se.Offset)
+			return b.String()
+		}
+		if err != nil {
+			fmt.Fprintf(&b, "%v", err)
+			return b.String()
+		}
+		fmt.Fprintf(&b, "%v@%d/%d %q %d|", k, tok.Offset(), tok.Depth(), tok.Name(), tok.AttrCount())
+		if read {
+			_ = tok.Text()
+			for i := 0; i < tok.AttrCount(); i++ {
+				_ = tok.AttrValue(i)
+			}
+		}
+	}
+}
+
+// fuzzSeeds start FuzzXMLTok (beside the committed corpus) and the
+// golden inputs.
+var fuzzSeeds = []string{
+	"",
+	"<a/>",
+	"<a x='1' y=\"2\">t</a>",
+	"<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n<a><b/>x</a>",
+	"<!DOCTYPE a [<!ENTITY e \"v\"><!--c-->]><a>&e;&lt;&#65;</a>",
+	"<a><![CDATA[x]]y]]></a>",
+	"<p:a xmlns:p='u'><p:b/></p:a>",
+	"a\r\nb<r>\rt&cr;</r>",
+	"<a>&#xD800;&#x10FFFF;</a>",
+	"\uFEFF<a>é</a>",
+	"<a>]]></a>",
+	"<a b='&amp;&e;&empty;'></a>",
+	"<!doctype a <!-- -- > x--> y><a/>",
+	"<a><b></b  ></a >tail",
+	"<a>\x01</a>",
+	"<r>&uni;<v w='&#13;&#10;'/></r>",
+}
+
+// FuzzXMLTok is the differential agreement gate. First, a run that reads
+// every token's text and attribute values and a run that never does must
+// report the same tokens and the same error. Then, on any input that
 // encoding/xml's Strict decoder tokenizes to EOF, xmltok must produce
 // the same token sequence (kinds, local names, attribute local names and
 // values, resolved text, comment/PI/directive bytes). When encoding/xml
 // rejects the input, xmltok may accept a superset (Unicode name-table
 // checks are relaxed) but must neither panic nor hang.
 func FuzzXMLTok(f *testing.F) {
-	seeds := []string{
-		"",
-		"<a/>",
-		"<a x='1' y=\"2\">t</a>",
-		"<?xml version=\"1.0\" encoding=\"UTF-8\"?>\n<a><b/>x</a>",
-		"<!DOCTYPE a [<!ENTITY e \"v\"><!--c-->]><a>&e;&lt;&#65;</a>",
-		"<a><![CDATA[x]]y]]></a>",
-		"<p:a xmlns:p='u'><p:b/></p:a>",
-		"a\r\nb<r>\rt&cr;</r>",
-		"<a>&#xD800;&#x10FFFF;</a>",
-		"\uFEFF<a>é</a>",
-		"<a>]]></a>",
-		"<a b='&amp;&e;&empty;'></a>",
-		"<!doctype a <!-- -- > x--> y><a/>",
-		"<a><b></b  ></a >tail",
-		"<a>\x01</a>",
-		"<r>&uni;<v w='&#13;&#10;'/></r>",
-	}
-	for _, s := range seeds {
+	for _, s := range fuzzSeeds {
 		f.Add([]byte(s))
 	}
 	var tok Tokenizer
@@ -121,6 +155,9 @@ func FuzzXMLTok(f *testing.F) {
 		// Both sides see BOM-less input: xmltok strips the BOM itself,
 		// encoding/xml would surface it as leading character data.
 		data = bytes.TrimPrefix(data, bom)
+		if lazy, eager := skeleton(&tok, data, false), skeleton(&tok, data, true); lazy != eager {
+			t.Fatalf("reading text changes the scan\ninput: %q\nunread: %s\nread:   %s", data, lazy, eager)
+		}
 		want, ok := stdTokens(data)
 		got, err := ourTokens(&tok, data)
 		if !ok {

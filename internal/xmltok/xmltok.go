@@ -2,10 +2,22 @@
 // validation hot path. It tokenizes a document held in a []byte —
 // start/end/empty element tags with attributes, character data, CDATA
 // sections, comments, processing instructions and directives — without
-// allocating in steady state: token names and text are subslices of the
-// input (or of a reusable scratch buffer when entity references or \r
-// normalization force a rewrite), so a pooled Tokenizer revalidates
-// documents with zero per-document garbage.
+// allocating in steady state, so a pooled Tokenizer revalidates documents
+// with zero per-document garbage.
+//
+// Character data and attribute values are scanned in one pass: a single
+// classifying loop checks the character range, "]]>" and every reference
+// (syntax, known entity, character-reference range, replacement text) and
+// records only whether the value needs rewriting. Resolution happens on
+// demand: Text and AttrValue return a subslice of the input when nothing
+// needs rewriting, and otherwise expand references and normalize \r into
+// a reusable scratch buffer on their first call for the token. Either way
+// the bytes are valid until the next call to Next. End tags are matched
+// in place against the open element's name. Anything the single pass does
+// not accept outright goes to a cold path that replays the multi-pass
+// scan (find the end, then check, then resolve), so an error carries the
+// message and position that scan gives it, whether or not a caller reads
+// the token's text.
 //
 // The token stream deliberately mirrors encoding/xml's Strict decoder on
 // well-formed input: the same tag-nesting checks ("element <a> closed by
@@ -90,13 +102,20 @@ var bom = []byte("\uFEFF")
 // pathological document cannot pin megabytes behind a pooled Tokenizer.
 const maxKeepScratch = 1 << 20
 
-// valRef locates resolved text: a [lo,hi) range in either the input
-// (zero-copy) or the scratch buffer (entity-expanded / \r-normalized).
-// Ranges index rather than subslice so scratch may grow underneath.
+// valRef locates a token's text: a [lo,hi) range in the input (zero-copy,
+// or still to be resolved) or in the scratch buffer. Ranges index rather
+// than subslice so scratch may grow underneath.
 type valRef struct {
-	lo, hi  int
-	scratch bool
+	lo, hi int
+	where  uint8
 }
+
+// Where a valRef's range lies.
+const (
+	inData     uint8 = iota // final bytes in the input
+	inScratch               // final bytes in scratch
+	unresolved              // input bytes still to expand into scratch
+)
 
 // attrSpan is one attribute: name as a range in the input, value as a
 // valRef, plus the name's byte offset for error positions.
@@ -185,10 +204,12 @@ func (t *Tokenizer) Local() []byte { return localOf(t.Name()) }
 // Text returns the current token's content: resolved character data for
 // Text, raw bytes for Comment (without <!-- -->), ProcInst (after the
 // target, without <? ?>) and Directive (between <! and >, embedded
-// comments replaced by a space). Valid until the next call to Next.
+// comments replaced by a space). Text that needs rewriting is resolved
+// into scratch on the first call for the token. Valid until the next call
+// to Next.
 //
 //dregex:noalloc
-func (t *Tokenizer) Text() []byte { return t.bytesOf(t.content) }
+func (t *Tokenizer) Text() []byte { return t.bytesOf(&t.content) }
 
 // SelfClosing reports whether the current StartElement came from an
 // empty-element tag (<a/>); its synthetic EndElement follows.
@@ -211,10 +232,11 @@ func (t *Tokenizer) AttrName(i int) []byte {
 func (t *Tokenizer) AttrLocal(i int) []byte { return localOf(t.AttrName(i)) }
 
 // AttrValue returns the resolved value of attribute i (entities
-// expanded, \r normalized). Valid until the next call to Next.
+// expanded, \r normalized), resolving it into scratch on the first call
+// when it needs rewriting. Valid until the next call to Next.
 //
 //dregex:noalloc
-func (t *Tokenizer) AttrValue(i int) []byte { return t.bytesOf(t.attrs[i].val) }
+func (t *Tokenizer) AttrValue(i int) []byte { return t.bytesOf(&t.attrs[i].val) }
 
 // AttrNameOffset returns the byte offset of attribute i's name, for
 // error positions.
@@ -223,10 +245,19 @@ func (t *Tokenizer) AttrNameOffset(i int) int { return t.attrs[i].nameLo }
 // Depth returns the number of currently open elements.
 func (t *Tokenizer) Depth() int { return len(t.stack) }
 
+// bytesOf returns v's bytes, first expanding an unresolved range into
+// scratch (at most once: v then points there).
+//
 //dregex:noalloc
-func (t *Tokenizer) bytesOf(v valRef) []byte {
-	if v.scratch {
+func (t *Tokenizer) bytesOf(v *valRef) []byte {
+	switch v.where {
+	case inScratch:
 		return t.scratch[v.lo:v.hi]
+	case unresolved:
+		lo := len(t.scratch)
+		t.scratch, _ = t.expand(t.scratch, v.lo, v.hi, true)
+		*v = valRef{lo, len(t.scratch), inScratch}
+		return t.scratch[lo:]
 	}
 	return t.data[v.lo:v.hi]
 }
@@ -283,10 +314,20 @@ func (t *Tokenizer) syntaxErr(off int, format string, args ...any) error {
 // name tables, checked there after the fact).
 var nameByte [256]bool
 
-// textOK marks ASCII bytes that pass through character data untouched:
-// tab, newline, and printable ASCII except the bytes that need handling
-// ('&' starts a reference, '\r' normalizes; both are excluded).
-var textOK [256]bool
+// Byte classes of the character-data scans. cPlain bytes need no
+// handling in text or in an attribute value.
+const (
+	cPlain uint8 = iota
+	cLT          // '<': ends text; illegal in an attribute value
+	cAmp         // '&': starts a reference
+	cCR          // '\r': rewritten to '\n'
+	cBrack       // ']': may start the "]]>" text forbids
+	cQuote       // '"' or '\'': may close an attribute value
+	cHigh        // ≥ 0x80: starts a multi-byte rune
+	cBad         // a control byte outside the XML Char production
+)
+
+var charClass [256]uint8
 
 func init() {
 	for c := 0; c < 256; c++ {
@@ -294,7 +335,22 @@ func init() {
 		nameByte[c] = 'A' <= b && b <= 'Z' || 'a' <= b && b <= 'z' ||
 			'0' <= b && b <= '9' || b == '_' || b == ':' || b == '.' || b == '-' ||
 			b >= 0x80
-		textOK[c] = b == '\t' || b == '\n' || (b >= 0x20 && b < 0x80 && b != '&')
+		switch {
+		case b == '<':
+			charClass[c] = cLT
+		case b == '&':
+			charClass[c] = cAmp
+		case b == '\r':
+			charClass[c] = cCR
+		case b == ']':
+			charClass[c] = cBrack
+		case b == '"' || b == '\'':
+			charClass[c] = cQuote
+		case b >= 0x80:
+			charClass[c] = cHigh
+		case b < 0x20 && b != '\t' && b != '\n':
+			charClass[c] = cBad
+		}
 	}
 }
 
@@ -408,18 +464,70 @@ func (t *Tokenizer) scanName() (sp span, ok bool) {
 	return sp, true
 }
 
+// scanText scans character data up to the next '<' in one pass. Any
+// anomaly hands the whole segment to textCold, which words the error.
+//
 //dregex:noalloc
 func (t *Tokenizer) scanText() (Kind, error) {
 	d := t.data
 	lo := t.pos
+	i := lo
+	where := inData
+scan:
+	for i < len(d) {
+		switch charClass[d[i]] {
+		case cPlain, cQuote:
+			i++
+		case cLT:
+			break scan
+		case cBrack:
+			if i+2 < len(d) && d[i+1] == ']' && d[i+2] == '>' {
+				return t.textCold(lo)
+			}
+			i++
+		case cCR:
+			where = unresolved
+			i++
+		case cAmp:
+			end, ok := t.checkRef(i)
+			if !ok {
+				return t.textCold(lo)
+			}
+			where = unresolved
+			i = end
+		case cHigh:
+			r, size := utf8.DecodeRune(d[i:])
+			if r == utf8.RuneError && size == 1 || !isInCharacterRange(r) {
+				return t.textCold(lo)
+			}
+			i += size
+		default: // cBad
+			return t.textCold(lo)
+		}
+	}
+	t.pos = i
+	t.kind = Text
+	t.content = valRef{lo, i, where}
+	return Text, nil
+}
+
+// textCold is the multi-pass scan of the text segment at lo: find its end,
+// forbid "]]>", then resolve it. It words and places every error the
+// single pass detects, in that order. It also accepts the one case the
+// single pass leaves to it: an invalid raw sequence or replacement text
+// that, once resolved, joins its neighbour into valid UTF-8.
+//
+// The "]]>" check runs on raw bytes: a reference breaking up the three
+// bytes hides them, exactly as encoding/xml's byte tracking (which resets
+// across references) behaves.
+//
+//dregex:coldalloc
+func (t *Tokenizer) textCold(lo int) (Kind, error) {
+	d := t.data
 	hi := len(d)
 	if i := bytes.IndexByte(d[lo:], '<'); i >= 0 {
 		hi = lo + i
 	}
-	// "]]>" is an error in plain character data (allowed in CDATA and in
-	// quoted attribute values). The check runs on raw bytes: a reference
-	// breaking up the three bytes hides them, exactly as encoding/xml's
-	// byte tracking (which resets across references) behaves.
 	if i := bytes.Index(d[lo:hi], []byte("]]>")); i >= 0 {
 		return 0, t.syntaxErr(lo+i, "unescaped ]]> not in CDATA section")
 	}
@@ -476,7 +584,7 @@ func (t *Tokenizer) scanComment() (Kind, error) {
 	}
 	t.pos = end + 3
 	t.kind = Comment
-	t.content = valRef{lo, end, false}
+	t.content = valRef{lo, end, inData}
 	return Comment, nil
 }
 
@@ -499,7 +607,7 @@ func (t *Tokenizer) scanProcInst() (Kind, error) {
 	t.pos = end + 2
 	t.kind = ProcInst
 	t.name = name
-	t.content = valRef{lo, end, false}
+	t.content = valRef{lo, end, inData}
 	if string(d[name.lo:name.hi]) == "xml" {
 		content := d[lo:end]
 		if ver := procInstParam(content, "version"); len(ver) > 0 && string(ver) != "1.0" {
@@ -604,7 +712,7 @@ func (t *Tokenizer) scanDirective() (Kind, error) {
 	}
 	t.scratch = s
 	t.kind = Directive
-	t.content = valRef{slo, len(s), true}
+	t.content = valRef{slo, len(s), inScratch}
 	return Directive, nil
 }
 
@@ -660,20 +768,10 @@ func (t *Tokenizer) scanStart() (Kind, error) {
 			return 0, t.syntaxErr(t.pos, "unquoted or missing attribute value in element")
 		}
 		t.pos++
-		vlo := t.pos
-		rest := d[vlo:]
-		qi := bytes.IndexByte(rest, q)
-		if qi < 0 {
-			return 0, t.syntaxErr(len(d), "unexpected EOF")
-		}
-		if lt := bytes.IndexByte(rest[:qi], '<'); lt >= 0 {
-			return 0, t.syntaxErr(vlo+lt, "unescaped < inside quoted string")
-		}
-		v, err := t.resolve(vlo, vlo+qi, true)
+		v, err := t.scanValue(q)
 		if err != nil {
 			return 0, err
 		}
-		t.pos = vlo + qi + 1
 		t.attrs = append(t.attrs, attrSpan{nameLo: aname.lo, nameHi: aname.hi, val: v})
 	}
 	t.kind = StartElement
@@ -685,55 +783,147 @@ func (t *Tokenizer) scanStart() (Kind, error) {
 	return StartElement, nil
 }
 
+// scanEnd matches the end tag against the open element's name in place:
+// the name's bytes, then a byte that cannot continue a name, then
+// optional space and '>'. Anything else is an error endErr words.
+//
 //dregex:noalloc
 func (t *Tokenizer) scanEnd() (Kind, error) {
+	d := t.data
+	if len(t.stack) == 0 {
+		return 0, t.endErr()
+	}
+	top := t.stack[len(t.stack)-1]
+	lo := t.pos
+	hi := lo + top.hi - top.lo
+	if hi >= len(d) || !bytes.Equal(d[lo:hi], d[top.lo:top.hi]) || nameByte[d[hi]] {
+		return 0, t.endErr()
+	}
+	t.pos = hi
+	t.skipSpace()
+	if t.pos >= len(d) || d[t.pos] != '>' {
+		t.pos = lo
+		return 0, t.endErr()
+	}
+	t.pos++
+	t.stack = t.stack[:len(t.stack)-1]
+	t.kind = EndElement
+	t.name = span{lo, hi}
+	return EndElement, nil
+}
+
+// endErr words the error for the end tag at t.pos that scanEnd refused,
+// in the order of a scan-then-compare: the name, the closing '>', then
+// the match against the open element.
+//
+//dregex:coldalloc
+func (t *Tokenizer) endErr() error {
 	d := t.data
 	name, ok := t.scanName()
 	if !ok {
 		if t.pos >= len(d) {
-			return 0, t.syntaxErr(t.pos, "unexpected EOF")
+			return t.syntaxErr(t.pos, "unexpected EOF")
 		}
-		return 0, t.syntaxErr(t.pos, "expected element name after </")
+		return t.syntaxErr(t.pos, "expected element name after </")
 	}
 	t.skipSpace()
 	if t.pos >= len(d) {
-		return 0, t.syntaxErr(t.pos, "unexpected EOF")
+		return t.syntaxErr(t.pos, "unexpected EOF")
 	}
 	if d[t.pos] != '>' {
-		return 0, t.syntaxErr(t.pos,
+		return t.syntaxErr(t.pos,
 			"invalid characters between </%s and >", d[name.lo:name.hi])
 	}
-	t.pos++
 	if len(t.stack) == 0 {
-		return 0, t.syntaxErr(t.tokOff,
+		return t.syntaxErr(t.tokOff,
 			"unexpected end element </%s>", d[name.lo:name.hi])
 	}
 	top := t.stack[len(t.stack)-1]
-	if !bytes.Equal(d[top.lo:top.hi], d[name.lo:name.hi]) {
-		return 0, t.syntaxErr(t.tokOff, "element <%s> closed by </%s>",
-			d[top.lo:top.hi], d[name.lo:name.hi])
-	}
-	t.stack = t.stack[:len(t.stack)-1]
-	t.kind = EndElement
-	t.name = name
-	return EndElement, nil
+	return t.syntaxErr(t.tokOff, "element <%s> closed by </%s>",
+		d[top.lo:top.hi], d[name.lo:name.hi])
 }
 
-// resolve produces the character data of [lo,hi): a zero-copy input
-// range when no reference or carriage return occurs, a scratch range
-// otherwise. It validates every rune against the XML character range.
-// entities=false (CDATA) leaves '&' literal.
+// scanValue scans the attribute value after its opening quote q in one
+// pass, leaving t.pos past the closing quote. Any anomaly hands the value
+// to valueCold, which words the error.
+//
+//dregex:noalloc
+func (t *Tokenizer) scanValue(q byte) (valRef, error) {
+	d := t.data
+	lo := t.pos
+	where := inData
+	for i := lo; i < len(d); {
+		switch charClass[d[i]] {
+		case cPlain, cBrack:
+			i++
+		case cQuote:
+			if d[i] == q {
+				t.pos = i + 1
+				return valRef{lo, i, where}, nil
+			}
+			i++
+		case cCR:
+			where = unresolved
+			i++
+		case cAmp:
+			end, ok := t.checkRef(i)
+			if !ok {
+				return t.valueCold(lo, q)
+			}
+			where = unresolved
+			i = end
+		case cHigh:
+			r, size := utf8.DecodeRune(d[i:])
+			if r == utf8.RuneError && size == 1 || !isInCharacterRange(r) {
+				return t.valueCold(lo, q)
+			}
+			i += size
+		default: // cLT, cBad
+			return t.valueCold(lo, q)
+		}
+	}
+	return t.valueCold(lo, q)
+}
+
+// valueCold is the multi-pass scan of the attribute value at lo: find the
+// closing quote, forbid '<', then resolve. Like textCold it words the
+// single pass's errors in that order, and accepts only a value whose
+// invalid sequences join into valid UTF-8 once resolved.
+//
+//dregex:coldalloc
+func (t *Tokenizer) valueCold(lo int, q byte) (valRef, error) {
+	d := t.data
+	qi := bytes.IndexByte(d[lo:], q)
+	if qi < 0 {
+		return valRef{}, t.syntaxErr(len(d), "unexpected EOF")
+	}
+	if lt := bytes.IndexByte(d[lo:lo+qi], '<'); lt >= 0 {
+		return valRef{}, t.syntaxErr(lo+lt, "unescaped < inside quoted string")
+	}
+	v, err := t.resolve(lo, lo+qi, true)
+	if err != nil {
+		return valRef{}, err
+	}
+	t.pos = lo + qi + 1
+	return v, nil
+}
+
+// resolve is the multi-pass reference resolver. It produces the character
+// data of [lo,hi): a zero-copy input range when no reference or carriage
+// return occurs, otherwise an expansion into scratch that is validated
+// as a whole. entities=false (CDATA) leaves '&' literal. CDATA sections
+// use it, and the single-pass scans hand it every segment they refuse, so
+// its order fixes the error a malformed segment reports: a bad byte before
+// the first reference or '\r' at its own offset, then the first bad
+// reference at its '&', then the first bad character of the resolved text
+// at the segment start.
 //
 //dregex:noalloc
 func (t *Tokenizer) resolve(lo, hi int, entities bool) (valRef, error) {
 	d := t.data
 	for i := lo; i < hi; {
-		b := d[i]
-		if textOK[b] {
-			i++
-			continue
-		}
-		if b >= 0x80 {
+		switch charClass[d[i]] {
+		case cHigh:
 			r, size := utf8.DecodeRune(d[i:hi])
 			if r == utf8.RuneError && size == 1 {
 				return valRef{}, t.syntaxErr(i, "invalid UTF-8")
@@ -742,62 +932,35 @@ func (t *Tokenizer) resolve(lo, hi int, entities bool) (valRef, error) {
 				return valRef{}, t.syntaxErr(i, "illegal character code %U", r)
 			}
 			i += size
-			continue
-		}
-		if b == '&' {
-			if !entities {
-				i++
-				continue
+		case cAmp:
+			if entities {
+				return t.resolveSlow(lo, hi, entities)
 			}
+			i++
+		case cCR:
 			return t.resolveSlow(lo, hi, entities)
+		case cBad:
+			return valRef{}, t.syntaxErr(i, "illegal character code %U", rune(d[i]))
+		default:
+			i++
 		}
-		if b == '\r' {
-			return t.resolveSlow(lo, hi, entities)
-		}
-		return valRef{}, t.syntaxErr(i, "illegal character code %U", rune(b))
 	}
-	return valRef{lo, hi, false}, nil
+	return valRef{lo, hi, inData}, nil
 }
 
-// resolveSlow rewrites [lo,hi) into scratch: references expanded, \r and
-// \r\n rewritten to \n (reference replacement text is inserted verbatim,
-// and resets the \r state, exactly as encoding/xml does). The result is
-// then character-range checked as a whole, so entity replacement text is
-// validated too.
+// resolveSlow expands [lo,hi) into scratch, then character-range checks
+// the result, so entity replacement text is validated too.
 func (t *Tokenizer) resolveSlow(lo, hi int, entities bool) (valRef, error) {
-	d := t.data
-	s := t.scratch
-	slo := len(s)
-	prevCR := false
-	for i := lo; i < hi; {
-		b := d[i]
-		switch {
-		case b == '&' && entities:
-			var err error
-			s, i, err = t.appendReference(s, i, hi)
-			if err != nil {
-				t.scratch = s
-				return valRef{}, err
-			}
-			prevCR = false
-		case b == '\r':
-			s = append(s, '\n')
-			prevCR = true
-			i++
-		case b == '\n' && prevCR:
-			prevCR = false
-			i++
-		default:
-			s = append(s, b)
-			prevCR = false
-			i++
-		}
-	}
+	slo := len(t.scratch)
+	s, bad := t.expand(t.scratch, lo, hi, entities)
 	t.scratch = s
+	if bad >= 0 {
+		return valRef{}, t.refErr(bad)
+	}
 	if err := t.checkChars(s[slo:], lo); err != nil {
 		return valRef{}, err
 	}
-	return valRef{slo, len(s), true}, nil
+	return valRef{slo, len(s), inScratch}, nil
 }
 
 // checkChars validates resolved text (the scratch path; the zero-copy
@@ -816,25 +979,95 @@ func (t *Tokenizer) checkChars(b []byte, errOff int) error {
 	return nil
 }
 
-// appendReference expands the reference starting at i ('&') within
-// [i,hi), appending its replacement to s; it returns the position past
-// the ';'. Character references parse in decimal or (with an 'x') hex,
-// cap at unicode.MaxRune, and encode surrogates as U+FFFD — the exact
-// outcome of encoding/xml's string(rune(n)). Named references try the
-// five predefined entities first, then the SetEntities map.
-func (t *Tokenizer) appendReference(s []byte, i, hi int) ([]byte, int, error) {
+// expand appends the resolved text of [lo,hi) to s: references replaced
+// (when entities is set), \r and \r\n rewritten to \n. Replacement text
+// goes in verbatim and ends a \r\n pair, as in encoding/xml. bad is the
+// offset of the first reference that does not resolve, or -1.
+//
+//dregex:noalloc
+func (t *Tokenizer) expand(s []byte, lo, hi int, entities bool) (out []byte, bad int) {
+	d := t.data
+	for i := lo; i < hi; {
+		j := i
+		for j < hi && d[j] != '\r' && (d[j] != '&' || !entities) {
+			j++
+		}
+		s = append(s, d[i:j]...)
+		if j == hi {
+			break
+		}
+		if d[j] == '\r' {
+			s = append(s, '\n')
+			if i = j + 1; i < hi && d[i] == '\n' {
+				i++
+			}
+			continue
+		}
+		end, r, name := t.parseRef(j)
+		if end < 0 {
+			return s, j
+		}
+		if name == nil {
+			s = utf8.AppendRune(s, r)
+		} else if v, ok := t.entity(name); ok {
+			s = append(s, v...)
+		} else {
+			return s, j
+		}
+		i = end
+	}
+	return s, -1
+}
+
+// checkRef is the single pass's test of the reference at d[i] == '&': it
+// must be well formed, known, and resolve to legal characters. A
+// surrogate character reference resolves to U+FFFD (see parseRef).
+//
+//dregex:noalloc
+func (t *Tokenizer) checkRef(i int) (end int, ok bool) {
+	end, r, name := t.parseRef(i)
+	if end < 0 {
+		return 0, false
+	}
+	if name == nil {
+		return end, isInCharacterRange(r) || 0xD800 <= r && r <= 0xDFFF
+	}
+	v, ok := t.entity(name)
+	return end, ok && legalText(v)
+}
+
+// refErr words the error for the reference at i that does not resolve.
+func (t *Tokenizer) refErr(i int) error {
+	if end, _, name := t.parseRef(i); end >= 0 {
+		return t.syntaxErr(i, "invalid character entity &%s;", name)
+	}
+	return t.syntaxErr(i, "invalid character entity")
+}
+
+// parseRef parses the reference at d[i] == '&', the one reference grammar
+// of the single-pass check and the expansion. A character reference
+// returns its rune and a nil name: decimal or (after an 'x') hex digits
+// with a value at most unicode.MaxRune; a surrogate encodes as U+FFFD when
+// appended, the exact outcome of encoding/xml's string(rune(n)). An
+// entity reference returns its name. end is the offset past the ';', or
+// -1 when the reference is malformed. The reference cannot run past the
+// segment holding it: the '<' or quote ending the segment is neither a
+// name byte, a digit nor ';'.
+//
+//dregex:noalloc
+func (t *Tokenizer) parseRef(i int) (end int, r rune, name []byte) {
 	d := t.data
 	j := i + 1
-	if j < hi && d[j] == '#' {
+	if j < len(d) && d[j] == '#' {
 		j++
 		base := uint64(10)
-		if j < hi && d[j] == 'x' {
+		if j < len(d) && d[j] == 'x' {
 			base = 16
 			j++
 		}
 		start := j
 		var n uint64
-		for j < hi {
+		for j < len(d) {
 			b := d[j]
 			var v uint64
 			switch {
@@ -854,35 +1087,62 @@ func (t *Tokenizer) appendReference(s []byte, i, hi int) ([]byte, int, error) {
 			j++
 		}
 	doneDigits:
-		if j == start || j >= hi || d[j] != ';' || n > unicode.MaxRune {
-			return s, 0, t.syntaxErr(i, "invalid character entity")
+		if j == start || j >= len(d) || d[j] != ';' || n > unicode.MaxRune {
+			return -1, 0, nil
 		}
-		return utf8.AppendRune(s, rune(n)), j + 1, nil
+		return j + 1, rune(n), nil
 	}
 	start := j
-	for j < hi && nameByte[d[j]] {
+	for j < len(d) && nameByte[d[j]] {
 		j++
 	}
-	if j == start || j >= hi || d[j] != ';' {
-		return s, 0, t.syntaxErr(i, "invalid character entity")
+	if j == start || j >= len(d) || d[j] != ';' {
+		return -1, 0, nil
 	}
-	name := d[start:j]
-	switch string(name) { // compiles to allocation-free comparisons
+	return j + 1, 0, d[start:j]
+}
+
+// entity returns the replacement text of a named reference: the five
+// predefined entities first, then the SetEntities map.
+//
+//dregex:noalloc
+func (t *Tokenizer) entity(name []byte) (string, bool) {
+	//dregex:ok noalloc a switch on string(b) compiles to comparisons (pinned by TestTokenizeAllocs)
+	switch string(name) {
 	case "lt":
-		return append(s, '<'), j + 1, nil
+		return "<", true
 	case "gt":
-		return append(s, '>'), j + 1, nil
+		return ">", true
 	case "amp":
-		return append(s, '&'), j + 1, nil
+		return "&", true
 	case "apos":
-		return append(s, '\''), j + 1, nil
+		return "'", true
 	case "quot":
-		return append(s, '"'), j + 1, nil
+		return `"`, true
 	}
-	if v, ok := t.entities[string(name)]; ok { // zero-alloc map probe
-		return append(s, v...), j + 1, nil
+	v, ok := t.entities[string(name)] // zero-alloc map probe
+	return v, ok
+}
+
+// legalText reports whether s is valid UTF-8 made of XML characters.
+//
+//dregex:noalloc
+func legalText(s string) bool {
+	for i := 0; i < len(s); {
+		switch charClass[s[i]] {
+		case cBad:
+			return false
+		case cHigh:
+			r, size := utf8.DecodeRuneInString(s[i:])
+			if r == utf8.RuneError && size == 1 || !isInCharacterRange(r) {
+				return false
+			}
+			i += size
+		default:
+			i++
+		}
 	}
-	return s, 0, t.syntaxErr(i, "invalid character entity &%s;", name)
+	return true
 }
 
 // ReadAll drains r into buf (reusing its capacity), for validators that

@@ -1,6 +1,7 @@
 package xmltok
 
 import (
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -161,6 +162,61 @@ func TestSyntaxErrors(t *testing.T) {
 			t.Errorf("%q: error %q, want substring %q", tc.doc, err, tc.wantSub)
 		}
 	}
+
+	// Exact message and position where a text node, attribute value or
+	// end tag holds several anomalies: the error the scan reports, and
+	// where, follows a fixed order. want "" means the document is
+	// well formed.
+	ents := map[string]string{"ctl": "a\x01b"}
+	for _, tc := range []struct{ doc, want string }{
+		// "]]>" wins over an illegal byte before it in the same node.
+		{"<a>x\x01]]></a>", "1:6: unescaped ]]> not in CDATA section"},
+		// An illegal byte before any reference or \r is placed at itself,
+		{"<a>x\x01&amp;y</a>", "1:5: illegal character code U+0001"},
+		// one after a reference at the start of the segment,
+		{"<a>\nx&amp;\x01y</a>", "1:4: illegal character code U+0001"},
+		// and so is one in a reference's replacement text.
+		{"<a>x&#0;</a>", "1:4: illegal character code U+0000"},
+		{"<a>x&ctl;</a>", "1:4: illegal character code U+0001"},
+		// A malformed reference wins over an illegal byte before it that
+		// follows an earlier reference.
+		{"<a>&amp;\x01&nosuch;</a>", "1:10: invalid character entity &nosuch;"},
+		// Surrogate character references are not errors (they resolve to
+		// U+FFFD); in the second document the error is the &#0; after
+		// them, placed at the start of its text node.
+		{"<a>&#xD800;&#56320;</a>", ""},
+		{"<a v='&#xDFFF;'>&#xD800;&#0;</a>", "1:17: illegal character code U+0000"},
+		// In attribute values, \r\n moves an illegal byte's position to
+		// the value's start, as any rewrite does.
+		{"<a v='x\r\n\x01'/>", "1:7: illegal character code U+0001"},
+		{"<a v='x\x01\r\n'/>", "1:8: illegal character code U+0001"},
+		// A missing closing quote, then a '<', win over an illegal byte.
+		{"<a v='\x01<'/>", "1:8: unescaped < inside quoted string"},
+		{"<a v='\x01", "1:8: unexpected EOF"},
+		// End tags: space before '>' is fine; a longer or shorter name is
+		// a mismatch, reported at the '<' of the end tag.
+		{"<a></a  >", ""},
+		{"<a></ab>", "1:4: element <a> closed by </ab>"},
+		{"<ab></a>", "1:5: element <ab> closed by </a>"},
+		{"<a></a  x>", "1:9: invalid characters between </a and >"},
+		{"<a></a", "1:7: unexpected EOF"},
+		{"<a></", "1:6: unexpected EOF"},
+	} {
+		var tok Tokenizer
+		tok.Reset([]byte(tc.doc))
+		tok.SetEntities(ents)
+		var err error
+		for err == nil {
+			_, err = tok.Next()
+		}
+		got := ""
+		if err != io.EOF {
+			got = err.Error()
+		}
+		if got != tc.want {
+			t.Errorf("%q: error %q, want %q", tc.doc, got, tc.want)
+		}
+	}
 }
 
 func TestPositions(t *testing.T) {
@@ -219,32 +275,38 @@ const allocTestDoc = `<?xml version="1.0"?><library owner="mia &amp; co">` +
 	`</library>`
 
 // TestTokenizeAllocs pins steady-state tokenization at zero allocations
-// per document (after one warmup to size the internal buffers).
+// per document (after one warmup to size the internal buffers), both when
+// text is left unread and when every text token is resolved.
 func TestTokenizeAllocs(t *testing.T) {
 	ents := map[string]string{"e": "ö"}
 	data := []byte(allocTestDoc)
-	var tok Tokenizer
-	run := func() {
-		tok.Reset(data)
-		tok.SetEntities(ents)
-		for {
-			k, err := tok.Next()
-			if err == io.EOF {
-				return
-			}
-			if err != nil {
-				t.Fatalf("Next: %v", err)
-			}
-			if k == StartElement {
-				for i := 0; i < tok.AttrCount(); i++ {
-					_ = tok.AttrValue(i)
+	for _, readText := range []bool{false, true} {
+		var tok Tokenizer
+		run := func() {
+			tok.Reset(data)
+			tok.SetEntities(ents)
+			for {
+				k, err := tok.Next()
+				if err == io.EOF {
+					return
+				}
+				if err != nil {
+					t.Fatalf("Next: %v", err)
+				}
+				if k == StartElement {
+					for i := 0; i < tok.AttrCount(); i++ {
+						_ = tok.AttrValue(i)
+					}
+				}
+				if k == Text && readText {
+					_ = tok.Text()
 				}
 			}
 		}
-	}
-	run() // warmup: grow stack, attrs, scratch
-	if n := testing.AllocsPerRun(200, run); n != 0 {
-		t.Errorf("steady-state tokenization allocates %v per doc, want 0", n)
+		run() // warmup: grow stack, attrs, scratch
+		if n := testing.AllocsPerRun(200, run); n != 0 {
+			t.Errorf("steady-state tokenization (text read: %v) allocates %v per doc, want 0", readText, n)
+		}
 	}
 }
 
@@ -266,5 +328,53 @@ func BenchmarkXMLTok(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+	}
+}
+
+// textDoc is a document shaped like the repository benchmark's corpus
+// text: elements holding 1–4 words, about a quarter of them with "&amp;".
+func textDoc(elems int) []byte {
+	words := []string{"alpha", "beta", "gamma", "delta", "lorem", "ipsum", "dolor", "sit", "amet", "x &amp; y"}
+	r := rng(7)
+	var b strings.Builder
+	b.WriteString("<r>\n")
+	for i := 0; i < elems; i++ {
+		name := fmt.Sprintf("t%d", r.intn(50))
+		b.WriteString("<" + name + ">")
+		for n := 1 + r.intn(4); n > 0; n-- {
+			b.WriteString(words[r.intn(len(words))])
+			if n > 1 {
+				b.WriteByte(' ')
+			}
+		}
+		b.WriteString("</" + name + ">\n")
+	}
+	b.WriteString("</r>")
+	return []byte(b.String())
+}
+
+// BenchmarkXMLTokText tokenizes corpus-shaped text without reading it,
+// as the validator does inside #PCDATA elements.
+func BenchmarkXMLTokText(b *testing.B) {
+	data := textDoc(500)
+	var tok Tokenizer
+	run := func() {
+		tok.Reset(data)
+		for {
+			_, err := tok.Next()
+			if err == io.EOF {
+				return
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	run() // grow the element stack
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
 	}
 }
